@@ -130,12 +130,16 @@ var workloads = map[string]struct {
 	build setupFunc
 	// tailPct is the op_ms_tail percentile, fixed per workload so the metric
 	// means the same in every run: the run length leaves at least minBeyond
-	// ops beyond it even on a slow host, and on serve it is the middle of the
-	// cold class's latency mode, where host stalls move it least.
+	// ops beyond it even on a slow host. On serve it is the middle of the
+	// cold class's latency mode, where host stalls move it least. On surface
+	// and chip the host's slow stretches, 0.2-6 s long, set the tail, and a
+	// percentile that the share of slow time in a run crosses from run to
+	// run jumps between them; these percentiles moved least on recorded
+	// runs (METRICS.md).
 	tailPct float64
 }{
-	"surface": {newSurface, 90},
-	"chip":    {newChip, 95},
+	"surface": {newSurface, 80},
+	"chip":    {newChip, 85},
 	"serve":   {newServe, 95},
 }
 
@@ -240,6 +244,8 @@ func bench(cfg config) (*result, error) {
 		w = nw
 	}
 	defer w.close()
+	// setup_s ends here: the check pass below is the benchmark's own
+	// verification and runs once, not once per set-up.
 	r.e2e["setup_s"] = median(setupS)
 	for k, v := range setupLayers {
 		r.layers[k] = median(v)
