@@ -15,10 +15,12 @@ import (
 	"os"
 
 	"repro/internal/core"
+	"repro/internal/dataset"
 	"repro/internal/deploy"
 	"repro/internal/engine"
 	"repro/internal/eval"
 	"repro/internal/fault"
+	"repro/internal/nn"
 	"repro/internal/rng"
 	"repro/internal/truenorth"
 )
@@ -32,7 +34,7 @@ func main() {
 		spf       = flag.Int("spf", 1, "spikes per frame")
 		copies    = flag.Int("copies", 1, "network copies to place")
 		frames    = flag.Int("frames", 50, "test frames to run through the chip")
-		workers   = flag.Int("workers", 1, "worker goroutines, each simulating a private chip (0 = GOMAXPROCS; stochastic leak draws then depend on worker count, so the default stays single-threaded for bit-reproducible output)")
+		workers   = flag.Int("workers", 1, "worker goroutines, each simulating a private chip (0 = GOMAXPROCS); every item draws from its own stream, so results are identical for any worker count")
 		dense     = flag.Bool("dense", false, "force the dense reference simulator (TickDense) instead of the event-driven tick; results are bit-identical, only speed differs")
 		faultSpec = flag.String("fault", "", "inject a fault spec (internal/fault syntax, e.g. 'seed=7,dead=0.25,drop=0.1,drift=0.5'); fault draws depend only on the spec and copy index, so any tnrepro sweep point's fault realization reproduces here")
 		deviation = flag.String("deviation", "", "write a deviation PGM of layer0/core0 and exit")
@@ -72,9 +74,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *spf < 1 {
+		fatal(fmt.Errorf("-spf must be at least 1 (got %d)", *spf))
+	}
 	opt := eval.Options{Quick: *quick, Seed: *seed}
 	r := eval.NewRunner(opt, os.Stderr)
 	_, test := r.Data(b)
+	if err := checkModelBench(m.Net, test); err != nil {
+		fatal(fmt.Errorf("bench %d: %w", b.ID, err))
+	}
 
 	// Sample `copies` spatial copies and serve them through the shared
 	// inference engine on the cycle-accurate chip path: every worker
@@ -172,6 +180,23 @@ func main() {
 			routed, hops, meanHops, float64(hops)*truenorth.HopEnergyJoules,
 			meanHops*truenorth.HopLatencySeconds, float64(maxLink)/float64(n))
 	}
+}
+
+// checkModelBench reports why net cannot classify the bench's test set: it
+// must read at least the set's feature width and decide over exactly its
+// classes.
+func checkModelBench(net *nn.Network, test *dataset.Dataset) error {
+	if in := net.Layers[0].InDim; in < test.FeatDim {
+		return fmt.Errorf("model reads %d inputs, fewer than the %d features of %s", in, test.FeatDim, test.Name)
+	}
+	classes := 0
+	if net.Readout != nil {
+		classes = net.Readout.Classes
+	}
+	if classes != test.NumClasses {
+		return fmt.Errorf("model decides %d classes, %s has %d", classes, test.Name, test.NumClasses)
+	}
+	return nil
 }
 
 func fatal(err error) {

@@ -167,11 +167,6 @@ func (m *Model) DeployAccuracy(test *dataset.Dataset, cfg deploy.EvalConfig) (de
 	return deploy.Evaluate(m.Net, test, cfg)
 }
 
-// DeploySurface measures the full Figure 7 accuracy grid for this model.
-func (m *Model) DeploySurface(test *dataset.Dataset, maxCopies, maxSPF int, cfg deploy.EvalConfig) (*deploy.SurfaceResult, error) {
-	return deploy.Surface(m.Net, test, maxCopies, maxSPF, cfg)
-}
-
 // modelEnvelope is the on-disk format: metadata plus the serialized network.
 type modelEnvelope struct {
 	Meta ModelMeta       `json:"meta"`

@@ -66,20 +66,9 @@ type inputRun struct {
 	runs []truenorth.BlitRun
 }
 
-// BuildChip lowers sn onto a fresh chip. Fan-out (one logical neuron feeding
-// several next-layer cores, as in the overlapping windows of test bench 3) is
-// realized by neuron duplication: extra physical neurons with identical
-// synapse rows and leak, one per destination, as corelet flows do on the real
-// hardware. Returns an error if any core exceeds its crossbar, the chip
-// capacity is exhausted, or the mapping cannot realize the topology.
+// BuildChip lowers sn onto a fresh chip: the one-copy BuildChipEnsemble.
 func BuildChip(sn *SampledNet, mapping Mapping, seed uint64) (*ChipNet, error) {
-	ch := truenorth.NewChip(seed)
-	cn := &ChipNet{Chip: ch, classes: sn.classes, classN: sn.classN, depth: len(sn.layers), mapping: mapping}
-	ch.SetExternalSinks(sn.classes)
-	if err := cn.lower(sn); err != nil {
-		return nil, err
-	}
-	return cn, nil
+	return BuildChipEnsemble([]*SampledNet{sn}, mapping, seed)
 }
 
 // BuildChipEnsemble lowers every sampled copy onto one shared chip: the
@@ -88,7 +77,12 @@ func BuildChip(sn *SampledNet, mapping Mapping, seed uint64) (*ChipNet, error) {
 // sinks (the merged readout of Fig. 3). One Frame call therefore yields the
 // ensemble-summed class counts directly. This is the builder behind the
 // chip-scale occupancy ladder: a full 4096-core chip is one ensemble, one
-// simulator instance.
+// simulator instance. Fan-out (one logical neuron feeding several next-layer
+// cores, as in the overlapping windows of test bench 3) is realized by
+// neuron duplication: extra physical neurons with identical synapse rows and
+// leak, one per destination, as corelet flows do on the real hardware.
+// Returns an error if any core exceeds its crossbar, the chip capacity is
+// exhausted, or the mapping cannot realize the topology.
 func BuildChipEnsemble(nets []*SampledNet, mapping Mapping, seed uint64) (*ChipNet, error) {
 	if len(nets) == 0 {
 		return nil, fmt.Errorf("deploy: ensemble needs at least one sampled copy")
@@ -124,10 +118,9 @@ const (
 	// PlacerNaive is row-major order — the do-nothing baseline every
 	// placement comparison measures against.
 	PlacerNaive Placer = "naive"
-	// PlacerLayered clusters by Hilbert-curve order: each ensemble copy's
-	// contiguous logical index range becomes a compact 2-D blob with
-	// consecutive layers adjacent inside it — PlaceLayered's column-band
-	// idea generalized to ensemble scale.
+	// PlacerLayered is the Hilbert seed (truenorth.PlaceHilbert): each
+	// ensemble copy's contiguous logical index range becomes a compact 2-D
+	// blob with consecutive layers adjacent inside it.
 	PlacerLayered Placer = "layered"
 	// PlacerAnneal refines the Hilbert seed with the seeded
 	// simulated-annealing placer (truenorth.PlaceAnneal).
@@ -392,14 +385,5 @@ func (cn *ChipNet) frame(x []float64, spf int, src rng.Source, tick func(*trueno
 	return counts
 }
 
-// DecideClass mirrors SampledNet.DecideClass for chip-side counts.
-func (cn *ChipNet) DecideClass(counts []int64) int {
-	best, bi := -1.0, 0
-	for k, n := range cn.classN {
-		score := float64(counts[k]) / float64(n)
-		if score > best {
-			best, bi = score, k
-		}
-	}
-	return bi
-}
+// DecideClass applies SampledNet.DecideClass's rule to chip-side counts.
+func (cn *ChipNet) DecideClass(counts []int64) int { return decideClass(cn.classN, counts) }

@@ -19,8 +19,6 @@ type Ensemble struct {
 	plan *QuantPlan
 	n    int
 	at   func(k int) *SampledNet
-	// Coder selects the input spike code (nil = StochasticCode, Eq. 8).
-	Coder Coder
 }
 
 var _ engine.EnsemblePredictor = (*Ensemble)(nil)
@@ -71,16 +69,7 @@ func (e *Ensemble) NewScratch() engine.Scratch { return e.plan.NewFrameScratch()
 // FrameCopy implements engine.EnsemblePredictor: copy k alone classifies x,
 // drawing all frame randomness from src.
 func (e *Ensemble) FrameCopy(s engine.Scratch, k int, x []float64, spf int, src rng.Source, counts []int64) {
-	sn := e.at(k)
-	fs := s.(*FrameScratch)
-	if e.Coder == nil {
-		sn.Frame(fs, x, spf, src, counts)
-		return
-	}
-	for t := 0; t < spf; t++ {
-		sn.EncodeInputCoded(fs, x, t, spf, e.Coder, src)
-		sn.Tick(fs, src, counts)
-	}
+	e.at(k).Frame(s.(*FrameScratch), x, spf, src, counts)
 }
 
 // Frame implements engine.Predictor as the exact full-budget vote: every copy

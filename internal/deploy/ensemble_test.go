@@ -32,7 +32,6 @@ func TestEnsembleExactParity(t *testing.T) {
 		const copies, spf = 5, 2
 		seed, stream := uint64(100+trial), uint64(40)
 		ens := NewSeededEnsemble(plan, copies, seed, stream, cfg)
-		ens.Coder = nil
 
 		xs := ensembleInputs(meta, 6, plan.InputDim())
 		items := make([]engine.Item, len(xs))

@@ -242,10 +242,17 @@ func (qp *QuantPlan) ClassWeights() []int { return qp.classN }
 // This is the decision rule of every copy sampled from the plan
 // (SampledNet.DecideClass delegates here); the plan-level form lets ensemble
 // callers decide a summed vote without holding any particular copy.
-func (qp *QuantPlan) DecideClass(classCounts []int64) int {
+func (qp *QuantPlan) DecideClass(classCounts []int64) int { return decideClass(qp.classN, classCounts) }
+
+// decideClass is the one class-decision rule behind QuantPlan.DecideClass and
+// ChipNet.DecideClass: the class with the highest count per readout neuron
+// (classN[k] neurons merge into class k), ties to the lowest index. It takes
+// classN rather than a plan because a chip ensemble's copies may come from
+// different (per-copy analog-fault) plans sharing one readout shape.
+func decideClass(classN []int, counts []int64) int {
 	best, bi := math.Inf(-1), 0
-	for k, n := range qp.classN {
-		score := float64(classCounts[k]) / float64(n)
+	for k, n := range classN {
+		score := float64(counts[k]) / float64(n)
 		if score > best {
 			best, bi = score, k
 		}

@@ -383,3 +383,31 @@ func TestChipPredictorFracLeakScheduleInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestDecideClassRule pins the one class-decision rule shared by the
+// fast-path plan and the chip readout: ties resolve to the lowest class
+// index, counts normalize by each class's readout width, and all-zero counts
+// decide class 0.
+func TestDecideClassRule(t *testing.T) {
+	cases := []struct {
+		name   string
+		classN []int
+		counts []int64
+		want   int
+	}{
+		{"tie-lowest-index", []int{2, 2, 2}, []int64{3, 5, 5}, 1},
+		{"uneven-widths", []int{3, 2}, []int64{6, 5}, 1},
+		{"all-zero", []int{3, 3, 2}, []int64{0, 0, 0}, 0},
+	}
+	for _, tc := range cases {
+		qp := &QuantPlan{classN: tc.classN}
+		cn := &ChipNet{classN: tc.classN}
+		got, chip := qp.DecideClass(tc.counts), cn.DecideClass(tc.counts)
+		if got != tc.want {
+			t.Errorf("%s: QuantPlan.DecideClass = %d, want %d", tc.name, got, tc.want)
+		}
+		if chip != got {
+			t.Errorf("%s: ChipNet.DecideClass = %d, QuantPlan.DecideClass = %d", tc.name, chip, got)
+		}
+	}
+}

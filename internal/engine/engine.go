@@ -203,9 +203,13 @@ func New(p Predictor, cfg Config) *Engine {
 func (e *Engine) Predictor() Predictor { return e.p }
 
 // Classify returns the predicted class of every input, using spf temporal
-// samples per frame. Item i draws all randomness from root.Split(i), so
-// predictions are deterministic given root and independent of worker count.
+// samples per frame (spf >= 1). Item i draws all randomness from
+// root.Split(i), so predictions are deterministic given root and independent
+// of worker count.
 func (e *Engine) Classify(inputs [][]float64, spf int, root *rng.PCG32) ([]int, error) {
+	if spf < 1 {
+		return nil, fmt.Errorf("engine: spf %d < 1", spf)
+	}
 	out := make([]int, len(inputs))
 	type state struct {
 		scratch Scratch
@@ -278,6 +282,9 @@ func (e *Engine) ClassifyItems(items []Item) ([]Outcome, error) {
 	ep, _ := e.p.(EnsemblePredictor)
 	needWaves := false
 	for i := range items {
+		if items[i].SPF < 1 {
+			return nil, fmt.Errorf("engine: item %d spf %d < 1", i, items[i].SPF)
+		}
 		if items[i].Copies > 1 {
 			if ep == nil {
 				return nil, fmt.Errorf("engine: item %d requests %d ensemble copies but predictor %T cannot evaluate per-copy", i, items[i].Copies, e.p)

@@ -144,6 +144,15 @@ func TestAccuracyValidation(t *testing.T) {
 	if _, err := e.Accuracy(toyInputs(3), make([]int, 2), 1, rng.NewPCG32(1, 1)); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
+	// A frame of no temporal samples decides from empty counts; reject it.
+	for _, spf := range []int{0, -3} {
+		if _, err := e.Accuracy(toyInputs(3), make([]int, 3), spf, rng.NewPCG32(1, 1)); err == nil {
+			t.Fatalf("Accuracy accepted spf %d", spf)
+		}
+		if _, err := e.Classify(toyInputs(3), spf, rng.NewPCG32(1, 1)); err == nil {
+			t.Fatalf("Classify accepted spf %d", spf)
+		}
+	}
 }
 
 func TestScratchReusePerWorkerNotPerItem(t *testing.T) {
@@ -436,13 +445,20 @@ func TestClassifyItemsMatchesSingleItemBatches(t *testing.T) {
 	}
 }
 
-// TestClassifyItemsEmptyAndCancel: empty batches are a no-op and a canceled
-// context surfaces as the context error.
+// TestClassifyItemsEmptyAndCancel: empty batches are a no-op, an item with
+// spf < 1 is rejected, and a canceled context surfaces as the context error.
 func TestClassifyItemsEmptyAndCancel(t *testing.T) {
 	e := New(&toyPredictor{classes: 2}, Config{})
 	out, err := e.ClassifyItems(nil)
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch = %v, %v", out, err)
+	}
+	seed1 := func(dst *rng.PCG32) { dst.Seed(1, 1) }
+	for _, spf := range []int{0, -3} {
+		bad := []Item{{X: []float64{0}, SPF: 1, Seed: seed1}, {X: []float64{0}, SPF: spf, Seed: seed1}}
+		if _, err := e.ClassifyItems(bad); err == nil {
+			t.Fatalf("ClassifyItems accepted spf %d", spf)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

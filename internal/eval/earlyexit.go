@@ -77,14 +77,7 @@ func EarlyExit(r *Runner) (*EarlyExitResult, error) {
 		seed := r.Opt.Seed + 6000 + uint64(b.ID)
 		ens := deploy.NewSeededEnsemble(plan, copies, seed, 17, deploy.DefaultSampleConfig())
 		eng := engine.New(ens, engine.Config{Workers: r.Opt.Workers, Ctx: r.Opt.Ctx})
-		items := make([]engine.Item, n)
-		for i := range items {
-			stream := 100 + uint64(i)
-			items[i] = engine.Item{
-				X: test.X[i], SPF: spf, Copies: copies,
-				Seed: func(dst *rng.PCG32) { dst.Seed(seed, stream) },
-			}
-		}
+		items := seededItems(test.X, n, spf, copies, seed)
 		// Materialize every lazy copy before timing so the exact point does
 		// not pay the one-off sampling cost the gated points skip.
 		if _, err := eng.ClassifyItems(items[:1]); err != nil {
@@ -106,26 +99,19 @@ func EarlyExit(r *Runner) (*EarlyExitResult, error) {
 				return nil, err
 			}
 			wall := time.Since(start)
-			correct, match, exits := 0, 0, 0
-			sumCopies := int64(0)
+			match := 0
 			for i, o := range outs {
-				if o.Class == test.Y[i] {
-					correct++
-				}
 				if exact == nil || o.Class == exact[i].Class {
 					match++
 				}
-				if o.CopiesUsed < copies {
-					exits++
-				}
-				sumCopies += int64(o.CopiesUsed)
 			}
+			tl := tally(outs, test.Y, copies)
 			p := EarlyExitPoint{
 				Conf:          conf,
-				Accuracy:      float64(correct) / float64(n),
+				Accuracy:      tl.accuracy,
 				ExactMatch:    float64(match) / float64(n),
-				MeanCopies:    float64(sumCopies) / float64(n),
-				EarlyExitRate: float64(exits) / float64(n),
+				MeanCopies:    tl.meanCopies,
+				EarlyExitRate: tl.exitRate,
 				WallPerItem:   wall / time.Duration(n),
 				Speedup:       1,
 			}
@@ -142,4 +128,45 @@ func EarlyExit(r *Runner) (*EarlyExitResult, error) {
 		res.Benches = append(res.Benches, eb)
 	}
 	return res, nil
+}
+
+// seededItems builds the first n inputs of xs into one evaluation batch in
+// which item i owns stream 100+i of seed — the derivation the serving tier
+// uses too. copies 0 keeps the single-evaluation path (a chip predictor
+// carries its ensemble internally); copies > 1 routes through the wave
+// scheduler.
+func seededItems(xs [][]float64, n, spf, copies int, seed uint64) []engine.Item {
+	items := make([]engine.Item, n)
+	for i := range items {
+		stream := 100 + uint64(i)
+		items[i] = engine.Item{
+			X: xs[i], SPF: spf, Copies: copies,
+			Seed: func(dst *rng.PCG32) { dst.Seed(seed, stream) },
+		}
+	}
+	return items
+}
+
+// itemTally summarizes one classified batch against its labels: accuracy,
+// the mean ensemble copies that voted per item, and the fraction of items
+// the confidence gate stopped short of their copies budget.
+type itemTally struct{ accuracy, meanCopies, exitRate float64 }
+
+func tally(outs []engine.Outcome, labels []int, copies int) itemTally {
+	correct, exits, used := 0, 0, 0
+	for i, o := range outs {
+		if o.Class == labels[i] {
+			correct++
+		}
+		if o.CopiesUsed < copies {
+			exits++
+		}
+		used += o.CopiesUsed
+	}
+	n := float64(len(outs))
+	return itemTally{
+		accuracy:   float64(correct) / n,
+		meanCopies: float64(used) / n,
+		exitRate:   float64(exits) / n,
+	}
 }

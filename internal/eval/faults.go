@@ -184,30 +184,6 @@ func Faults(r *Runner) (*FaultsResult, error) {
 		}
 	}
 
-	// mkItems builds the evaluation batch; every item owns stream 100+i of
-	// seed, the derivation the earlyexit experiment and the serving tier use.
-	// copies 0 leaves the single-evaluation path (the chip predictor carries
-	// its ensemble internally); copies > 1 routes through the wave scheduler.
-	mkItems := func(count, copies int) []engine.Item {
-		items := make([]engine.Item, count)
-		for i := range items {
-			stream := 100 + uint64(i)
-			items[i] = engine.Item{
-				X: test.X[i], SPF: spf, Copies: copies,
-				Seed: func(dst *rng.PCG32) { dst.Seed(seed, stream) },
-			}
-		}
-		return items
-	}
-	accuracy := func(outs []engine.Outcome) float64 {
-		correct := 0
-		for i, o := range outs {
-			if o.Class == test.Y[i] {
-				correct++
-			}
-		}
-		return float64(correct) / float64(len(outs))
-	}
 	classify := func(p engine.Predictor, items []engine.Item) ([]engine.Outcome, error) {
 		eng := engine.New(p, engine.Config{Workers: r.Opt.Workers, Ctx: r.Opt.Ctx})
 		return eng.ClassifyItems(items)
@@ -254,8 +230,8 @@ func Faults(r *Runner) (*FaultsResult, error) {
 			if err := r.ctxErr(); err != nil {
 				return nil, err
 			}
-			fastItems := mkItems(n, copies)
-			chipItems := mkItems(chipN, 0)
+			fastItems := seededItems(test.X, n, spf, copies, seed)
+			chipItems := seededItems(test.X, chipN, spf, 0, seed)
 			// Never-faulted references, then the zero-config points through
 			// the fault machinery: bit-identity between the two is the
 			// zero-fault contract, measured per (penalty, copies, path).
@@ -328,7 +304,7 @@ func Faults(r *Runner) (*FaultsResult, error) {
 						}
 					}
 					curve.Points = append(curve.Points, FaultPoint{
-						Level: level, Spec: cfg.String(), Accuracy: accuracy(outs),
+						Level: level, Spec: cfg.String(), Accuracy: tally(outs, test.Y, copies).accuracy,
 					})
 				}
 				res.Curves = append(res.Curves, curve)
@@ -369,7 +345,7 @@ func Faults(r *Runner) (*FaultsResult, error) {
 			}
 		}
 		eng := engine.New(ens, engine.Config{Workers: r.Opt.Workers, Ctx: r.Opt.Ctx})
-		items := mkItems(gateN, gateCopies)
+		items := seededItems(test.X, gateN, spf, gateCopies, seed)
 		if _, err := eng.ClassifyItems(items[:1]); err != nil {
 			return nil, err
 		}
@@ -382,22 +358,12 @@ func Faults(r *Runner) (*FaultsResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			correct, exits := 0, 0
-			sumCopies := int64(0)
-			for i, o := range outs {
-				if o.Class == test.Y[i] {
-					correct++
-				}
-				if o.CopiesUsed < gateCopies {
-					exits++
-				}
-				sumCopies += int64(o.CopiesUsed)
-			}
+			tl := tally(outs, test.Y, gateCopies)
 			gate.Points = append(gate.Points, FaultGatePoint{
 				Conf:          conf,
-				Accuracy:      float64(correct) / float64(gateN),
-				MeanCopies:    float64(sumCopies) / float64(gateN),
-				EarlyExitRate: float64(exits) / float64(gateN),
+				Accuracy:      tl.accuracy,
+				MeanCopies:    tl.meanCopies,
+				EarlyExitRate: tl.exitRate,
 			})
 		}
 		res.Gates = append(res.Gates, gate)

@@ -62,10 +62,6 @@ type Config struct {
 	DACBits int
 }
 
-// IsZero reports whether the config injects nothing (the Seed alone does not
-// make a config non-zero).
-func (c Config) IsZero() bool { return !c.HasChipFaults() && !c.HasAnalog() }
-
 // HasChipFaults reports whether any chip-path (hardware) fault model is
 // active.
 func (c Config) HasChipFaults() bool {

@@ -12,6 +12,16 @@ type counter struct {
 	_ [56]byte
 }
 
+// storeMax raises c to v unless c already holds at least v.
+func (c *counter) storeMax(v int64) {
+	for {
+		cur := c.Load()
+		if v <= cur || c.CompareAndSwap(cur, v) {
+			return
+		}
+	}
+}
+
 // modelStats accumulates per-model serving counters with atomics; the
 // /debug/stats handler snapshots them into ModelStats.
 type modelStats struct {
@@ -41,22 +51,13 @@ type modelStats struct {
 func (s *modelStats) recordQueueWait(ns int64) {
 	s.waitNS.Add(ns)
 	s.waitCount.Add(1)
-	for {
-		cur := s.waitMaxNS.Load()
-		if ns <= cur || s.waitMaxNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
+	s.waitMaxNS.storeMax(ns)
 }
 
+// recordLatency accounts one item's enqueue-to-classified latency.
 func (s *modelStats) recordLatency(ns int64) {
 	s.latNS.Add(ns)
-	for {
-		cur := s.maxLatNS.Load()
-		if ns <= cur || s.maxLatNS.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
+	s.maxLatNS.storeMax(ns)
 }
 
 // recordEnsemble accounts one wave-scheduled item: how many copies voted and

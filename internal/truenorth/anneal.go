@@ -76,8 +76,7 @@ func HilbertXY2D(side, row, col int) int {
 // curve of the grid. Because ensemble lowering emits each network copy as a
 // contiguous logical index range, every copy lands in its own compact 2-D
 // blob with consecutive layers adjacent inside it — the clustering seed the
-// annealer refines, and the ensemble-scale generalization of PlaceLayered's
-// column bands.
+// annealer refines.
 func PlaceHilbert(numCores int) (*Placement, error) {
 	if numCores > GridSide*GridSide {
 		return nil, fmt.Errorf("truenorth: %d cores exceed the %d-core chip", numCores, GridSide*GridSide)

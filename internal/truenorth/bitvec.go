@@ -45,9 +45,6 @@ func (b BitVec) OnesCount() int {
 	return n
 }
 
-// CopyFrom copies a into b (lengths must match).
-func (b BitVec) CopyFrom(a BitVec) { copy(b, a) }
-
 // AndPopcount returns the population count of a AND b, the core primitive of
 // crossbar integration. The vectors must have equal length.
 func AndPopcount(a, b BitVec) int {

@@ -40,7 +40,3 @@ func (c *NeuronConfig) LeakDraw(src rng.Source) int32 {
 	}
 	return l
 }
-
-// LeakMean returns the expected per-tick leak (the real-valued bias the
-// stochastic draw realizes without bias).
-func (c *NeuronConfig) LeakMean() float64 { return c.Leak }

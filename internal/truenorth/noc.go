@@ -10,7 +10,7 @@ import (
 // spikes over a 64x64 2-D mesh with dimension-ordered (X-then-Y) routing: a
 // packet first traverses horizontal links along the SOURCE row to the
 // destination column, then vertical links along the DESTINATION column — the
-// same discipline Placement.Congestion models statically. The observer is
+// same discipline Placement.LinkLoads models statically. The observer is
 // strictly read-only with respect to simulation state: it consumes no PRNG
 // draws and mutates nothing the simulators read, so enabling it leaves every
 // pre-existing observable byte-identical (the eighth determinism contract,

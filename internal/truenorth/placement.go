@@ -1,9 +1,6 @@
 package truenorth
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // GridSide is the side length of the physical core grid (64x64 = 4096).
 const GridSide = 64
@@ -92,154 +89,8 @@ func PlaceRowMajor(numCores int) (*Placement, error) {
 	return p, nil
 }
 
-// LayerSpan describes the cores of one network layer as a contiguous logical
-// index range with a 2-D layer-grid shape (rows x cols), matching the block
-// structure of the paper's networks.
-type LayerSpan struct {
-	Start      int
-	Rows, Cols int
-}
-
-// PlaceLayered places a layered network so consecutive layers sit in adjacent
-// grid column bands with each layer's own 2-D arrangement preserved. This
-// mirrors the feed-forward placement used for block-structured corelets:
-// inter-layer spikes travel mostly one band to the right.
-func PlaceLayered(layers []LayerSpan) (*Placement, error) {
-	p := NewPlacement()
-	colBase := 0
-	for li, l := range layers {
-		if l.Rows <= 0 || l.Cols <= 0 {
-			return nil, fmt.Errorf("truenorth: layer %d has empty grid", li)
-		}
-		if l.Rows > GridSide {
-			return nil, fmt.Errorf("truenorth: layer %d rows %d exceed grid", li, l.Rows)
-		}
-		if colBase+l.Cols > GridSide {
-			return nil, fmt.Errorf("truenorth: layered placement overflows the chip at layer %d", li)
-		}
-		for r := 0; r < l.Rows; r++ {
-			for c := 0; c < l.Cols; c++ {
-				core := l.Start + r*l.Cols + c
-				if err := p.Assign(core, GridPos{Row: r, Col: colBase + c}); err != nil {
-					return nil, err
-				}
-			}
-		}
-		colBase += l.Cols
-	}
-	return p, nil
-}
-
-// ImproveGreedy performs pairwise-swap hill climbing on the placement until
-// no single swap reduces wire cost or maxPasses is reached. It is a
-// deterministic, dependency-free stand-in for the simulated-annealing placers
-// used by real corelet flows; returns the final cost.
-func (p *Placement) ImproveGreedy(traffic []Traffic, maxPasses int) float64 {
-	// Precompute adjacency for incremental cost deltas.
-	adj := make(map[int][]Traffic)
-	for _, t := range traffic {
-		adj[t.Src] = append(adj[t.Src], t)
-		adj[t.Dst] = append(adj[t.Dst], t)
-	}
-	cost := func(core int) float64 {
-		total := 0.0
-		for _, t := range adj[core] {
-			total += t.Weight * float64(p.Manhattan(t.Src, t.Dst))
-		}
-		return total
-	}
-	n := len(p.Slot)
-	for pass := 0; pass < maxPasses; pass++ {
-		improved := false
-		for a := 0; a < n; a++ {
-			for b := a + 1; b < n; b++ {
-				before := cost(a) + cost(b)
-				p.swap(a, b)
-				after := cost(a) + cost(b)
-				if after+1e-12 < before {
-					improved = true
-				} else {
-					p.swap(a, b)
-				}
-			}
-		}
-		if !improved {
-			break
-		}
-	}
-	return p.WireCost(traffic)
-}
-
 func (p *Placement) swap(a, b int) {
 	p.Slot[a], p.Slot[b] = p.Slot[b], p.Slot[a]
 	p.used[p.Slot[a]] = a
 	p.used[p.Slot[b]] = b
-}
-
-// CongestionProfile returns, per mesh row and column, the total traffic
-// weight crossing it under dimension-ordered (X-then-Y) routing. The maximum
-// entry estimates the hottest mesh link.
-type CongestionProfile struct {
-	RowLoad, ColLoad []float64
-}
-
-// Congestion computes the profile for the placement and traffic set.
-func (p *Placement) Congestion(traffic []Traffic) CongestionProfile {
-	cp := CongestionProfile{
-		RowLoad: make([]float64, GridSide),
-		ColLoad: make([]float64, GridSide),
-	}
-	for _, t := range traffic {
-		src, dst := p.Slot[t.Src], p.Slot[t.Dst]
-		// X-first: traverse columns along the source row...
-		lo, hi := src.Col, dst.Col
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for c := lo; c < hi; c++ {
-			cp.ColLoad[c] += t.Weight
-		}
-		// ...then rows along the destination column.
-		lo, hi = src.Row, dst.Row
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		for r := lo; r < hi; r++ {
-			cp.RowLoad[r] += t.Weight
-		}
-	}
-	return cp
-}
-
-// MaxLoad returns the hottest row/column load.
-func (cp CongestionProfile) MaxLoad() float64 {
-	best := 0.0
-	for _, v := range cp.RowLoad {
-		if v > best {
-			best = v
-		}
-	}
-	for _, v := range cp.ColLoad {
-		if v > best {
-			best = v
-		}
-	}
-	return best
-}
-
-// SortedLoads returns all non-zero loads descending (diagnostics).
-func (cp CongestionProfile) SortedLoads() []float64 {
-	var out []float64
-	for _, v := range cp.RowLoad {
-		if v > 0 {
-			out = append(out, v)
-		}
-	}
-	for _, v := range cp.ColLoad {
-		if v > 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }

@@ -51,41 +51,6 @@ func TestPlaceRowMajor(t *testing.T) {
 	}
 }
 
-func TestPlaceLayeredAdjacency(t *testing.T) {
-	// Bench-3 shape: 7x7 -> 3x3 -> 2x2.
-	layers := []LayerSpan{
-		{Start: 0, Rows: 7, Cols: 7},
-		{Start: 49, Rows: 3, Cols: 3},
-		{Start: 58, Rows: 2, Cols: 2},
-	}
-	p, err := PlaceLayered(layers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Layer bands sit at columns [0,7), [7,10), [10,12).
-	if p.Slot[0].Col != 0 || p.Slot[48].Col != 6 {
-		t.Fatalf("layer 0 band wrong: %+v %+v", p.Slot[0], p.Slot[48])
-	}
-	if p.Slot[49].Col != 7 || p.Slot[57].Col != 9 {
-		t.Fatalf("layer 1 band wrong: %+v %+v", p.Slot[49], p.Slot[57])
-	}
-	if p.Slot[58].Col != 10 {
-		t.Fatalf("layer 2 band wrong: %+v", p.Slot[58])
-	}
-}
-
-func TestPlaceLayeredErrors(t *testing.T) {
-	if _, err := PlaceLayered([]LayerSpan{{Start: 0, Rows: 0, Cols: 3}}); err == nil {
-		t.Fatal("empty layer accepted")
-	}
-	if _, err := PlaceLayered([]LayerSpan{{Start: 0, Rows: 65, Cols: 1}}); err == nil {
-		t.Fatal("too-tall layer accepted")
-	}
-	if _, err := PlaceLayered([]LayerSpan{{Start: 0, Rows: 1, Cols: 33}, {Start: 33, Rows: 1, Cols: 33}}); err == nil {
-		t.Fatal("band overflow accepted")
-	}
-}
-
 func TestWireCost(t *testing.T) {
 	p := NewPlacement()
 	_ = p.Assign(0, GridPos{0, 0})
@@ -95,104 +60,6 @@ func TestWireCost(t *testing.T) {
 	if c := p.WireCost(traffic); c != 2*5+0.5*2 {
 		t.Fatalf("wire cost %v", c)
 	}
-}
-
-func TestImproveGreedyNeverWorsens(t *testing.T) {
-	f := func(seed uint64) bool {
-		src := rng.NewPCG32(seed, 1)
-		n := 6 + rng.Intn(src, 10)
-		p, err := PlaceRowMajor(n)
-		if err != nil {
-			return false
-		}
-		var traffic []Traffic
-		for i := 0; i < n; i++ {
-			traffic = append(traffic, Traffic{
-				Src: rng.Intn(src, n), Dst: rng.Intn(src, n),
-				Weight: rng.Float64(src),
-			})
-		}
-		before := p.WireCost(traffic)
-		after := p.ImproveGreedy(traffic, 3)
-		return after <= before+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestImproveGreedyFindsObviousSwap(t *testing.T) {
-	// Cores 0 and 1 talk heavily but are placed far apart; core 2 sits idle
-	// between them. One swap fixes it.
-	p := NewPlacement()
-	_ = p.Assign(0, GridPos{0, 0})
-	_ = p.Assign(1, GridPos{0, 10})
-	_ = p.Assign(2, GridPos{0, 1})
-	traffic := []Traffic{{Src: 0, Dst: 1, Weight: 1}}
-	after := p.ImproveGreedy(traffic, 5)
-	if after != 1 {
-		t.Fatalf("greedy cost %v, want 1 (swap cores 1 and 2)", after)
-	}
-}
-
-func TestCongestionDimensionOrdered(t *testing.T) {
-	p := NewPlacement()
-	_ = p.Assign(0, GridPos{0, 0})
-	_ = p.Assign(1, GridPos{2, 3})
-	cp := p.Congestion([]Traffic{{Src: 0, Dst: 1, Weight: 1}})
-	// X-first: columns 0,1,2 along row 0; then rows 0,1 along column 3.
-	for c := 0; c < 3; c++ {
-		if cp.ColLoad[c] != 1 {
-			t.Fatalf("col %d load %v", c, cp.ColLoad[c])
-		}
-	}
-	if cp.ColLoad[3] != 0 {
-		t.Fatal("destination column loaded")
-	}
-	for r := 0; r < 2; r++ {
-		if cp.RowLoad[r] != 1 {
-			t.Fatalf("row %d load %v", r, cp.RowLoad[r])
-		}
-	}
-	if cp.MaxLoad() != 1 {
-		t.Fatalf("max load %v", cp.MaxLoad())
-	}
-	loads := cp.SortedLoads()
-	if len(loads) != 5 || loads[0] != 1 {
-		t.Fatalf("sorted loads %v", loads)
-	}
-}
-
-func TestLayeredBeatsRowMajorOnFeedForwardTraffic(t *testing.T) {
-	// Feed-forward traffic between a 7x7 and a 3x3 layer: the layered
-	// placement should yield lower wire cost than naive row-major.
-	layers := []LayerSpan{{Start: 0, Rows: 7, Cols: 7}, {Start: 49, Rows: 3, Cols: 3}}
-	var traffic []Traffic
-	// Window 3x3 stride 2 connectivity, uniform weight.
-	for r := 0; r < 3; r++ {
-		for c := 0; c < 3; c++ {
-			dst := 49 + r*3 + c
-			for dr := 0; dr < 3; dr++ {
-				for dc := 0; dc < 3; dc++ {
-					src := (r*2+dr)*7 + (c*2 + dc)
-					traffic = append(traffic, Traffic{Src: src, Dst: dst, Weight: 1})
-				}
-			}
-		}
-	}
-	layered, err := PlaceLayered(layers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowMajor, err := PlaceRowMajor(58)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lc, rc := layered.WireCost(traffic), rowMajor.WireCost(traffic)
-	if lc >= rc {
-		t.Fatalf("layered cost %v not below row-major %v", lc, rc)
-	}
-	t.Logf("wire cost: layered %.0f vs row-major %.0f", lc, rc)
 }
 
 // randomTraffic draws a bounded random traffic set over n cores.
