@@ -255,6 +255,30 @@ func BenchmarkDeployFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkDeployFrameSPF2 is BenchmarkDeployFrame at 2 spikes per frame:
+// multi-tick frames encode through the compiled per-frame plan, the path
+// every surface and served request with spf >= 2 takes.
+func BenchmarkDeployFrameSPF2(b *testing.B) {
+	r := runner(b)
+	bench, _ := eval.BenchByID(1)
+	m, err := r.Model(bench, "none")
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, test := r.Data(bench)
+	sn := deploy.Sample(m.Net, rng.NewPCG32(1, 1), deploy.DefaultSampleConfig())
+	fs := sn.NewFrameScratch()
+	src := rng.NewPCG32(2, 2)
+	counts := make([]int64, 10)
+	x := make([]float64, 28*28)
+	copy(x, test.X[0])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sn.Frame(fs, x, 2, src, counts)
+	}
+}
+
 // BenchmarkSurfaceEvaluate measures deploy.Surface end-to-end on a 4x2 grid
 // of the bench-1 model — the engine-backed hot path behind Figure 7, Table 2
 // and every Evaluate call.

@@ -3,6 +3,8 @@ package deploy
 import (
 	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -405,6 +407,57 @@ func TestEvaluateMatchesSurfaceCell(t *testing.T) {
 	}
 	if res.Accuracy < 0.5 {
 		t.Fatalf("accuracy %v suspiciously low", res.Accuracy)
+	}
+}
+
+// TestSurfaceInputWidth: inputs narrower than the network are zero-padded
+// (the surface equals the one on explicitly padded inputs), and inputs wider
+// than the network fail Surface and Evaluate with both widths in the error
+// instead of silently dropping features.
+func TestSurfaceInputWidth(t *testing.T) {
+	d, w, bias := goldenFixture() // 24-input network and data
+	net := singleCoreNet(w, bias, 3)
+	resize := func(d *dataset.Dataset, width int) *dataset.Dataset {
+		r := &dataset.Dataset{Name: d.Name, FeatDim: width, NumClasses: d.NumClasses, Y: d.Y, X: make([][]float64, d.Len())}
+		for i, x := range d.X {
+			r.X[i] = make([]float64, width)
+			copy(r.X[i], x)
+		}
+		return r
+	}
+	cfg := DefaultEvalConfig()
+	cfg.Repeats = 2
+	for _, tc := range []struct {
+		name  string
+		width int
+		err   string
+	}{
+		{"narrower", 16, ""},
+		{"equal", 24, ""},
+		{"wider", 40, "has 40 features, network takes 24"},
+	} {
+		in := resize(d, tc.width)
+		got, err := Surface(net, in, 2, 2, cfg)
+		_, evalErr := Evaluate(net, in, cfg)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: Surface error %v, want one containing %q", tc.name, err, tc.err)
+			}
+			if evalErr == nil || !strings.Contains(evalErr.Error(), tc.err) {
+				t.Errorf("%s: Evaluate error %v, want one containing %q", tc.name, evalErr, tc.err)
+			}
+			continue
+		}
+		if err != nil || evalErr != nil {
+			t.Fatalf("%s: Surface error %v, Evaluate error %v", tc.name, err, evalErr)
+		}
+		want, err := Surface(net, resize(in, 24), 2, 2, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: surface %v differs from zero-padded inputs' %v", tc.name, got.Mean, want.Mean)
+		}
 	}
 }
 

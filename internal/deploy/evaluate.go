@@ -87,8 +87,11 @@ func (r *SurfaceResult) Cell(copies, spf int) Result {
 // FastPredictor, and hands the ensemble to engine.Grid, which owns the
 // chunked fan-out, the per-image rng stream derivation, and the
 // inclusion-exclusion prefix trick that prices every (copies, spf) cell at
-// the cost of the largest one. Results are bit-identical for any worker
-// count.
+// the cost of the largest one. All repeats' copies are sampled up front on
+// the engine pool; their streams and the grid roots are derived serially
+// first, in the order a one-repeat-at-a-time loop would split them. Results
+// are bit-identical for any worker count. An input wider than the network
+// is an error; narrower inputs are zero-padded.
 func Surface(net *nn.Network, d *dataset.Dataset, maxCopies, maxSPF int, cfg EvalConfig) (*SurfaceResult, error) {
 	if maxCopies <= 0 || maxSPF <= 0 {
 		return nil, fmt.Errorf("deploy: non-positive surface dims %dx%d", maxCopies, maxSPF)
@@ -108,7 +111,10 @@ func Surface(net *nn.Network, d *dataset.Dataset, maxCopies, maxSPF int, cfg Eva
 		repeats = 1
 	}
 
-	inputs := padInputs(net, d, n)
+	inputs, err := padInputs(net, d, n)
+	if err != nil {
+		return nil, err
+	}
 	res := &SurfaceResult{MaxCopies: maxCopies, MaxSPF: maxSPF, CoresPerCopy: net.NumCores()}
 	res.Mean = engine.NewGrid(maxCopies, maxSPF)
 	res.Std = engine.NewGrid(maxCopies, maxSPF)
@@ -118,14 +124,30 @@ func Surface(net *nn.Network, d *dataset.Dataset, maxCopies, maxSPF int, cfg Eva
 	// sampled copies; the draw sequence is unchanged.
 	plan := CompileQuant(net)
 	root := rng.NewPCG32(cfg.Seed, 11)
-	for rep := 0; rep < repeats; rep++ {
-		// Independent copies for this repeat.
-		repSrc := root.Split(uint64(rep))
-		preds := make([]engine.TickPredictor, maxCopies)
-		for c := range preds {
-			preds[c] = &FastPredictor{Net: plan.Sample(repSrc.Split(uint64(c)), cfg.Sample)}
+	// Item rep*maxCopies+c is copy c of repeat rep. RunSeeded derives the
+	// streams serially in item order, so each repeat's stream splits its
+	// copies and then its grid root exactly as a serial per-repeat loop would.
+	var repSrc *rng.PCG32
+	gridRoots := make([]*rng.PCG32, repeats)
+	seed := func(i int, dst *rng.PCG32) {
+		rep, c := i/maxCopies, i%maxCopies
+		if c == 0 {
+			repSrc = root.Split(uint64(rep))
 		}
-		correct, err := engine.Grid(preds, inputs, d.Y[:n], maxSPF, repSrc.Split(1<<32), cfg.engineConfig())
+		repSrc.SplitInto(dst, uint64(c))
+		if c == maxCopies-1 {
+			gridRoots[rep] = repSrc.Split(1 << 32)
+		}
+	}
+	preds := make([]engine.TickPredictor, repeats*maxCopies)
+	sample := func(_ struct{}, i int, src *rng.PCG32) {
+		preds[i] = &FastPredictor{Net: plan.Sample(src, cfg.Sample)}
+	}
+	if err := engine.RunSeeded(cfg.engineConfig(), len(preds), seed, func() struct{} { return struct{}{} }, sample, nil); err != nil {
+		return nil, fmt.Errorf("deploy: surface sampling: %w", err)
+	}
+	for rep := 0; rep < repeats; rep++ {
+		correct, err := engine.Grid(preds[rep*maxCopies:(rep+1)*maxCopies], inputs, d.Y[:n], maxSPF, gridRoots[rep], cfg.engineConfig())
 		if err != nil {
 			return nil, fmt.Errorf("deploy: surface repeat %d: %w", rep, err)
 		}
@@ -149,19 +171,24 @@ func Surface(net *nn.Network, d *dataset.Dataset, maxCopies, maxSPF int, cfg Eva
 	return res, nil
 }
 
-// padInputs zero-extends features to the network input width.
-func padInputs(net *nn.Network, d *dataset.Dataset, n int) [][]float64 {
+// padInputs returns the first n feature vectors zero-extended to the network
+// input width. A vector wider than the network is an error: truncating it
+// would silently drop features.
+func padInputs(net *nn.Network, d *dataset.Dataset, n int) ([][]float64, error) {
 	want := net.Layers[0].InDim
 	out := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		x := d.X[i]
-		if len(x) == want {
+		switch {
+		case len(x) == want:
 			out[i] = x
-			continue
+		case len(x) > want:
+			return nil, fmt.Errorf("deploy: input %d has %d features, network takes %d", i, len(x), want)
+		default:
+			p := make([]float64, want)
+			copy(p, x)
+			out[i] = p
 		}
-		p := make([]float64, want)
-		copy(p, x)
-		out[i] = p
 	}
-	return out
+	return out, nil
 }

@@ -59,10 +59,64 @@ func (p *PCG32) Seed(seed, stream uint64) {
 func (p *PCG32) Uint32() uint32 {
 	old := p.state
 	p.state = old*pcgMult + p.inc
-	xorshifted := uint32(((old >> 18) ^ old) >> 27)
-	rot := uint32(old >> 59)
+	return pcgOutput(old)
+}
+
+// pcgOutput is the XSH-RR output permutation of one LCG state.
+func pcgOutput(s uint64) uint32 {
+	xorshifted := uint32(((s >> 18) ^ s) >> 27)
+	rot := uint32(s >> 59)
 	return xorshifted>>rot | xorshifted<<((-rot)&31)
 }
+
+// pcgJumpTable is the size of the O(1) jump-ahead table: it covers every
+// offset up to one 256-neuron core's worth of draws.
+const pcgJumpTable = 256
+
+// pcgJumpMul[k] and pcgJumpAdd[k] are the coefficients of the k-step LCG
+// jump: state_k = state*pcgJumpMul[k] + inc*pcgJumpAdd[k], i.e. A^k and
+// sum_{i<k} A^i with A = pcgMult (all mod 2^64).
+var pcgJumpMul, pcgJumpAdd = func() (mul, add [pcgJumpTable + 1]uint64) {
+	mul[0] = 1
+	for k := 0; k < pcgJumpTable; k++ {
+		mul[k+1] = mul[k] * pcgMult
+		add[k+1] = add[k]*pcgMult + 1
+	}
+	return mul, add
+}()
+
+// pcgJump returns the k-step jump coefficients (see pcgJumpMul) by
+// square-and-multiply, for offsets beyond the table (Brown, "Random Number
+// Generation with Arbitrary Strides", 1994).
+func pcgJump(k uint64) (mul, add uint64) {
+	mul, add = 1, 0
+	curMul, curAdd := uint64(pcgMult), uint64(1)
+	for ; k > 0; k >>= 1 {
+		if k&1 != 0 {
+			mul, add = mul*curMul, add*curMul+curAdd
+		}
+		curMul, curAdd = curMul*curMul, (curMul+1)*curAdd
+	}
+	return mul, add
+}
+
+// jumped returns the state k steps ahead without advancing p.
+func (p *PCG32) jumped(k uint64) uint64 {
+	if k <= pcgJumpTable {
+		return p.state*pcgJumpMul[k] + p.inc*pcgJumpAdd[k]
+	}
+	mul, add := pcgJump(k)
+	return p.state*mul + p.inc*add
+}
+
+// Peek returns the word the (k+1)-th next Uint32 call would return — Peek(0)
+// is the next word — without advancing the generator. It is O(1) for
+// k <= 256 and O(log k) beyond.
+func (p *PCG32) Peek(k uint64) uint32 { return pcgOutput(p.jumped(k)) }
+
+// Advance moves the generator n words ahead, leaving it exactly where n
+// Uint32 calls would. It is O(1) for n <= 256 and O(log n) beyond.
+func (p *PCG32) Advance(n uint64) { p.state = p.jumped(n) }
 
 // Split returns a new, statistically independent generator derived from the
 // current state and the given label. The receiver is advanced once so repeated

@@ -364,3 +364,40 @@ func TestSplitIntoMatchesSplit(t *testing.T) {
 		t.Fatal("SplitInto advanced the receiver differently from Split")
 	}
 }
+
+// TestPCG32PeekAdvanceMatchSequential: Peek(k) must return the word k+1
+// sequential Uint32 calls end on, without moving the generator, and
+// Advance(n) must leave the generator exactly where n calls would — on both
+// sides of the O(1) jump table's 256-step edge.
+func TestPCG32PeekAdvanceMatchSequential(t *testing.T) {
+	steps := []uint64{0, 1, 63, 255, 256, 257, 1000}
+	for _, stream := range []uint64{0, 1, 7, 1 << 40} {
+		base := NewPCG32(99+stream, stream)
+		base.Uint32()
+		words := make([]uint32, 1002)
+		seq := *base
+		for i := range words {
+			words[i] = seq.Uint32()
+		}
+		for _, k := range steps {
+			p := *base
+			if got := p.Peek(k); got != words[k] {
+				t.Fatalf("stream %d: Peek(%d) = %#x, sequential %#x", stream, k, got, words[k])
+			}
+			if p != *base {
+				t.Fatalf("stream %d: Peek(%d) moved the generator", stream, k)
+			}
+			want := *base
+			for i := uint64(0); i < k; i++ {
+				want.Uint32()
+			}
+			p.Advance(k)
+			if p != want {
+				t.Fatalf("stream %d: Advance(%d) state %+v, sequential %+v", stream, k, p, want)
+			}
+			if got := p.Uint32(); got != words[k] {
+				t.Fatalf("stream %d: first word after Advance(%d) = %#x, sequential %#x", stream, k, got, words[k])
+			}
+		}
+	}
+}
