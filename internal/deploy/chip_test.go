@@ -1,6 +1,7 @@
 package deploy
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -212,5 +213,72 @@ func TestChipStatsAccumulate(t *testing.T) {
 	s := cn.Chip.Stats()
 	if s.Ticks != int64(5+cn.Depth()-1) {
 		t.Fatalf("ticks %d, want %d", s.Ticks, 5+cn.Depth()-1)
+	}
+}
+
+// TestChipFrameRejectsOversizeInput pins ChipNet.Frame and FrameDense to
+// SampledNet.Frame's input check: an input no wider than the network runs,
+// and any wider one, including pixels that fit in the last spike word,
+// panics with a message naming both dimensions.
+func TestChipFrameRejectsOversizeInput(t *testing.T) {
+	const inputs = 14
+	sn := Sample(fractionalBiasNet(6, inputs, 2, 3), rng.NewPCG32(3, 3), DefaultSampleConfig())
+	cn, err := BuildChip(sn, MapSigned, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := map[string]func(x []float64, spf int, src rng.Source) []int64{
+		"event": cn.Frame, "dense": cn.FrameDense,
+	}
+	cases := []struct {
+		dim  int
+		want string // panic message, "" for none
+	}{
+		{inputs - 1, ""},
+		{inputs, ""},
+		{inputs + 1, "deploy: input dim 15 exceeds network 14"},
+		{64, "deploy: input dim 64 exceeds network 14"},
+		{65, "deploy: input dim 65 exceeds network 14"},
+	}
+	for name, frame := range frames {
+		for _, tc := range cases {
+			x := make([]float64, tc.dim)
+			for i := range x {
+				x[i] = 1 // every pixel spikes, so an unchecked one lands
+			}
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				frame(x, 2, rng.NewPCG32(4, 4))
+			}()
+			if got != tc.want {
+				t.Errorf("%s, %d inputs: panic %q, want %q", name, tc.dim, got, tc.want)
+			}
+		}
+	}
+}
+
+// TestChipFrameAllocs pins the per-frame chip path as allocation-free: after
+// a warm-up frame, a chip reseed plus one Frame allocates only the returned
+// count slice.
+func TestChipFrameAllocs(t *testing.T) {
+	sn := Sample(fractionalBiasNet(10, 14, 2, 5), rng.NewPCG32(5, 3), DefaultSampleConfig())
+	cn, err := BuildChip(sn, MapSigned, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := binaryInput(14, 6)
+	src := rng.NewPCG32(6, 6)
+	cn.Frame(x, 4, src)
+	allocs := testing.AllocsPerRun(50, func() {
+		cn.Chip.Reseed(uint64(src.Uint32()))
+		cn.Frame(x, 4, src)
+	})
+	if allocs != 1 {
+		t.Fatalf("Reseed+Frame allocates %v times per run, want 1 (the returned counts)", allocs)
 	}
 }

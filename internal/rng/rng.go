@@ -14,8 +14,10 @@
 //     (period 2^16-1) so that experiments can quantify the effect of the real
 //     chip's low-quality randomness against PCG32.
 //
-// All generators implement Source, and every consumer in this repository takes
-// a Source so the two families are interchangeable.
+// All generators implement Source, and most consumers in this repository take
+// a Source so the two families are interchangeable. The exceptions hold a
+// PCG32 by value because they need its jump-ahead (Peek, Advance) or seed it
+// in place: every truenorth chip core owns one as its leak generator.
 package rng
 
 import "math"

@@ -2,7 +2,6 @@ package truenorth
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/rng"
 )
@@ -113,11 +112,13 @@ func NewChip(seed uint64) *Chip {
 // Reseed rederives every core's private PRNG stream from seed. Callers that
 // need frame-level replayability independent of the chip's history (e.g. a
 // worker pool handing items to chips in schedule-dependent order) reseed
-// from a per-item stream before each frame.
+// from a per-item stream before each frame. The streams are seeded in place,
+// so a per-frame reseed allocates nothing.
 func (ch *Chip) Reseed(seed uint64) {
-	root := rng.NewPCG32(seed, 4096)
+	var root rng.PCG32
+	root.Seed(seed, 4096)
 	for i, c := range ch.cores {
-		c.Reseed(root.Split(uint64(i)))
+		root.SplitInto(&c.prng, uint64(i))
 	}
 }
 
@@ -127,7 +128,9 @@ func (ch *Chip) AddCore(axons, neurons int) (int, *Core, error) {
 	if len(ch.cores) >= ch.Capacity {
 		return 0, nil, fmt.Errorf("truenorth: chip full (%d cores)", ch.Capacity)
 	}
-	c := NewCore(axons, neurons, ch.seed.Split(uint64(len(ch.cores))))
+	var prng rng.PCG32
+	ch.seed.SplitInto(&prng, uint64(len(ch.cores)))
+	c := NewCore(axons, neurons, &prng)
 	ch.cores = append(ch.cores, c)
 	ch.targets = append(ch.targets, make([]Target, neurons))
 	for j := range ch.targets[len(ch.targets)-1] {
@@ -306,7 +309,7 @@ func (ch *Chip) Tick() {
 
 // deliver routes core i's spikes (in outBuf[i]) through its compiled delivery
 // plan: word-level OR blits into each destination core's pending vector plus
-// per-sink counting for off-chip routes. Destinations that received at least
+// one masked popcount per off-chip sink. Destinations that received at least
 // one spike are marked dirty for the next tick.
 func (ch *Chip) deliver(i int) {
 	out := ch.outBuf[i]
@@ -337,14 +340,8 @@ func (ch *Chip) deliver(i int) {
 			}
 		}
 	}
-	if p.extSink != nil {
-		for wi, w := range out {
-			for ; w != 0; w &= w - 1 {
-				if s := p.extSink[wi<<6+bits.TrailingZeros64(w)]; s >= 0 {
-					ch.extCounts[s]++
-				}
-			}
-		}
+	for _, s := range p.sinks {
+		ch.extCounts[s.Sink] += int64(AndPopcount(out, s.Mask))
 	}
 }
 
