@@ -18,7 +18,7 @@
 //	tnserve -models models/                    # serve every *.json in a dir
 //	tnserve bench1_biased.json other.json      # or individual model files
 //	tnserve -demo -addr :8081                  # deterministic built-in model
-//	tnserve -addr :9090 -window 1ms -max-batch 128 -workers 8 models/
+//	tnserve -addr :9090 -max-batch 128 -workers 8 models/
 //	tnserve -route -backends http://h1:8081,http://h2:8081 -addr :8080
 //	tnserve -demo -snapshot-file /var/lib/tnserve.snap   # warm restarts
 //
@@ -57,8 +57,7 @@ func main() {
 		// Worker role.
 		modelDir   = flag.String("models", "", "directory of *.json models (tntrain envelopes or raw networks)")
 		demo       = flag.Bool("demo", false, "register the deterministic built-in demo model")
-		window     = flag.Duration("window", 2*time.Millisecond, "micro-batch deadline: max wait after a batch's first item")
-		maxBatch   = flag.Int("max-batch", 64, "size-triggered flush threshold")
+		maxBatch   = flag.Int("max-batch", 64, "max items coalesced into one flush")
 		queueCap   = flag.Int("queue", 0, "pending-item queue bound (0 = 4*max-batch)")
 		flushers   = flag.Int("flushers", 2, "concurrent batch executors")
 		workers    = flag.Int("workers", 0, "engine goroutines per batch (0 = GOMAXPROCS)")
@@ -151,7 +150,6 @@ func main() {
 
 	srv := serve.NewServer(reg, serve.Config{
 		MaxBatch:     *maxBatch,
-		Window:       *window,
 		QueueCap:     *queueCap,
 		FlushWorkers: *flushers,
 		Workers:      *workers,
@@ -164,8 +162,8 @@ func main() {
 		RetryAfterS:  *retryAfter,
 		SnapshotPath: *snapFile,
 	})
-	log.Printf("tnserve: %d model(s) %v on %s (window %s, max-batch %d, shed-depth %d)",
-		len(reg.Names()), reg.Names(), *addr, *window, *maxBatch, *shedDepth)
+	log.Printf("tnserve: %d model(s) %v on %s (max-batch %d, flushers %d, shed-depth %d)",
+		len(reg.Names()), reg.Names(), *addr, *maxBatch, *flushers, *shedDepth)
 	closeFn := srv.Close
 	if *snapFile != "" {
 		// Drain writes the snapshot after the batcher has flushed every

@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/deploy"
@@ -112,7 +111,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	srv := serve.NewServer(reg, serve.Config{MaxBatch: 16, Window: 2 * time.Millisecond})
+	srv := serve.NewServer(reg, serve.Config{MaxBatch: 16})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // ErrClosed is returned by Submit after Close has begun: the pipeline is
@@ -14,19 +13,15 @@ var ErrClosed = errors.New("serve: batcher closed")
 
 // BatcherConfig bounds the dynamic micro-batcher.
 type BatcherConfig struct {
-	// MaxBatch flushes a batch as soon as it holds this many items
-	// (default 32).
+	// MaxBatch caps the items in one batch (default 32).
 	MaxBatch int
-	// Window is the deadline trigger: a batch is flushed at most Window after
-	// its first item arrived, however few items joined it. Zero means no
-	// waiting — each flush takes whatever is queued at that instant.
-	Window time.Duration
 	// QueueCap bounds the submission queue (default 4*MaxBatch). When the
 	// queue is full, Submit blocks — backpressure propagates to callers
 	// instead of growing memory without bound.
 	QueueCap int
-	// FlushWorkers is the number of concurrent flush executors (default 2),
-	// so batch assembly pipelines with batch execution.
+	// FlushWorkers is the number of concurrent flush executors (default 2).
+	// Batches form only while all of them are busy, so together with load
+	// it sets how large batches grow.
 	FlushWorkers int
 }
 
@@ -44,11 +39,12 @@ func (c BatcherConfig) withDefaults() BatcherConfig {
 }
 
 // Batcher coalesces concurrently submitted items into batches and hands them
-// to a flush function. Flushing triggers on size (MaxBatch) or deadline
-// (Window after a batch's first item); the submission queue is bounded, so a
-// saturated pipeline pushes back on submitters rather than buffering
-// unboundedly; Close drains gracefully — every item accepted before Close is
-// flushed before Close returns.
+// to a flush function. It is work-conserving: an item never waits while a
+// flush worker is idle, and items coalesce (up to MaxBatch) only while every
+// worker is busy, so batch size follows load rather than a timer. The
+// submission queue is bounded, so a saturated pipeline pushes back on
+// submitters rather than buffering unboundedly; Close drains gracefully —
+// every item accepted before Close is flushed before Close returns.
 //
 // The batcher never reorders items from one submitter and never inspects
 // them; determinism of results is the flush function's concern (the serving
@@ -78,7 +74,7 @@ func NewBatcher[T any](cfg BatcherConfig, flush func([]T)) *Batcher[T] {
 		cfg:     cfg,
 		flush:   flush,
 		in:      make(chan T, cfg.QueueCap),
-		batches: make(chan []T, cfg.FlushWorkers),
+		batches: make(chan []T), // unbuffered: a send succeeds only when a worker is idle
 		closeCh: make(chan struct{}),
 	}
 	b.workers.Add(1)
@@ -134,67 +130,35 @@ func (b *Batcher[T]) Depth() int { return len(b.in) }
 // Flushes returns the number of batches dispatched so far.
 func (b *Batcher[T]) Flushes() int64 { return b.flushes.Load() }
 
-// collect assembles batches: greedily absorb whatever is queued, then hold
-// the batch open until MaxBatch items or the Window deadline, whichever
-// comes first.
+// collect assembles batches without ever holding one back: a pending batch
+// goes to the first idle worker at once, and items join it only while every
+// worker is busy. Input is not read while the batch holds MaxBatch items, so
+// a saturated pipeline pushes back through the bounded queue.
 func (b *Batcher[T]) collect() {
 	defer b.workers.Done()
 	defer close(b.batches)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
 	var batch []T
-	dispatch := func() {
+	in := b.in
+	for in != nil || len(batch) > 0 {
+		var out chan []T // nil (never ready) while there is nothing to send
 		if len(batch) > 0 {
+			out = b.batches
+		}
+		recv := in
+		if len(batch) >= b.cfg.MaxBatch {
+			recv = nil
+		}
+		select {
+		case out <- batch:
 			b.flushes.Add(1)
-			b.batches <- batch
 			batch = nil
-		}
-	}
-outer:
-	for {
-		item, ok := <-b.in
-		if !ok {
-			return
-		}
-		batch = append(batch, item)
-	greedy:
-		for len(batch) < b.cfg.MaxBatch {
-			select {
-			case it, ok := <-b.in:
-				if !ok {
-					dispatch()
-					return
-				}
-				batch = append(batch, it)
-			default:
-				break greedy
+		case item, ok := <-recv:
+			if !ok {
+				in = nil // closed and drained: send what is left, then exit
+				continue
 			}
+			batch = append(batch, item)
 		}
-		if len(batch) >= b.cfg.MaxBatch || b.cfg.Window <= 0 {
-			dispatch()
-			continue
-		}
-		timer.Reset(b.cfg.Window)
-	window:
-		for len(batch) < b.cfg.MaxBatch {
-			select {
-			case it, ok := <-b.in:
-				if !ok {
-					break window
-				}
-				batch = append(batch, it)
-			case <-timer.C:
-				dispatch()
-				continue outer // timer already drained; next batch starts fresh
-			}
-		}
-		// Full batch or closed input: the timer is still pending.
-		if !timer.Stop() {
-			<-timer.C
-		}
-		dispatch()
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,63 +33,180 @@ func flushedCount(log [][]int) int {
 	return n
 }
 
-// TestBatcherMaxBatchFlush: a full batch flushes immediately, far before the
-// window deadline, and never exceeds MaxBatch.
-func TestBatcherMaxBatchFlush(t *testing.T) {
-	b, log := collectingBatcher(BatcherConfig{MaxBatch: 4, Window: time.Hour, QueueCap: 64})
-	for i := 0; i < 8; i++ {
-		if err := b.Submit(context.Background(), i); err != nil {
+// gatedBatcher returns a batcher whose flushes log their batch (in dispatch
+// order when FlushWorkers is 1) and then block until release is called.
+// release is idempotent and also runs at test cleanup, so a failing test
+// cannot leave a flush — and with it Close — blocked.
+func gatedBatcher(t *testing.T, cfg BatcherConfig) (b *Batcher[int], log func() [][]int, release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	var mu sync.Mutex
+	var batches [][]int
+	b = NewBatcher(cfg, func(batch []int) {
+		mu.Lock()
+		batches = append(batches, append([]int(nil), batch...))
+		mu.Unlock()
+		<-gate
+	})
+	t.Cleanup(func() { release(); b.Close() })
+	return b, func() [][]int {
+		mu.Lock()
+		defer mu.Unlock()
+		return append([][]int(nil), batches...)
+	}, release
+}
+
+// waitFor polls cond until it holds, failing the test after two seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+func submitAll(t *testing.T, b *Batcher[int], items ...int) {
+	t.Helper()
+	for _, v := range items {
+		if err := b.Submit(context.Background(), v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for flushedCount(log()) < 8 {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of 8 items flushed; the hour-long window must not gate full batches", flushedCount(log()))
-		}
-		time.Sleep(time.Millisecond)
+}
+
+// TestBatcherIdleWorkerFlushesAtOnce: with a flush worker idle, a lone item is
+// dispatched on its own straight away — it never waits for company, however
+// large MaxBatch is.
+func TestBatcherIdleWorkerFlushesAtOnce(t *testing.T) {
+	b, log := collectingBatcher(BatcherConfig{MaxBatch: 1024, FlushWorkers: 1})
+	defer b.Close()
+	for i := 0; i < 5; i++ {
+		submitAll(t, b, i)
+		waitFor(t, fmt.Sprintf("lone item %d to flush", i), func() bool { return flushedCount(log()) == i+1 })
 	}
-	for _, batch := range log() {
+	for i, batch := range log() {
+		if len(batch) != 1 || batch[0] != i {
+			t.Fatalf("flush log %v, want each item alone in submission order", log())
+		}
+	}
+	if got := b.Flushes(); got != 5 {
+		t.Fatalf("Flushes() = %d, want 5", got)
+	}
+}
+
+// TestBatcherCoalescesWhileWorkersBusy: items coalesce only while every flush
+// worker is busy. Each of the two workers first takes a lone item; the next
+// items gather into one pending batch that stops at MaxBatch (the rest stay
+// queued) and is dispatched only once a worker frees.
+func TestBatcherCoalescesWhileWorkersBusy(t *testing.T) {
+	b, log, release := gatedBatcher(t, BatcherConfig{MaxBatch: 4, QueueCap: 64, FlushWorkers: 2})
+	submitAll(t, b, 0)
+	waitFor(t, "item 0 to reach a worker", func() bool { return len(log()) == 1 })
+	submitAll(t, b, 1)
+	waitFor(t, "item 1 to reach the second worker", func() bool { return len(log()) == 2 })
+	submitAll(t, b, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+	// The collector holds a full batch (items 2-5) and reads no further.
+	waitFor(t, "the queue to settle at 6 items", func() bool { return b.Depth() == 6 })
+	time.Sleep(20 * time.Millisecond)
+	if got := b.Flushes(); got != 2 {
+		t.Fatalf("%d batches dispatched while both workers were blocked, want 2", got)
+	}
+	if got := b.Depth(); got != 6 {
+		t.Fatalf("queue depth %d with a full batch pending, want 6", got)
+	}
+	release()
+	waitFor(t, "all 12 items to flush", func() bool { return flushedCount(log()) == 12 })
+	got := log()
+	if len(got[0]) != 1 || len(got[1]) != 1 {
+		t.Fatalf("first batches %v, want lone items while a worker was idle", got[:2])
+	}
+	full := false
+	seen := make(map[int]int)
+	for _, batch := range got {
+		if len(batch) > 4 {
+			t.Fatalf("batch %v exceeds MaxBatch 4", batch)
+		}
+		if fmt.Sprint(batch) == "[2 3 4 5]" {
+			full = true
+		}
+		for _, v := range batch {
+			seen[v]++
+		}
+	}
+	if !full {
+		t.Fatalf("flush log %v lacks the coalesced batch [2 3 4 5]", got)
+	}
+	for v := 0; v < 12; v++ {
+		if seen[v] != 1 {
+			t.Fatalf("item %d flushed %d times (log %v)", v, seen[v], got)
+		}
+	}
+}
+
+// TestBatcherMaxBatchFlush: a batch never exceeds MaxBatch, and a full one
+// leaves as soon as the worker frees, ahead of the items queued behind it.
+func TestBatcherMaxBatchFlush(t *testing.T) {
+	b, log, release := gatedBatcher(t, BatcherConfig{MaxBatch: 4, QueueCap: 64, FlushWorkers: 1})
+	submitAll(t, b, 0)
+	waitFor(t, "item 0 to reach the worker", func() bool { return len(log()) == 1 })
+	submitAll(t, b, 1, 2, 3, 4, 5, 6, 7, 8)
+	waitFor(t, "the queue to settle at 4 items", func() bool { return b.Depth() == 4 })
+	release()
+	waitFor(t, "all 9 items to flush", func() bool { return flushedCount(log()) == 9 })
+	got := log()
+	if fmt.Sprint(got[:2]) != "[[0] [1 2 3 4]]" {
+		t.Fatalf("flush log %v, want [0] then the full batch [1 2 3 4]", got)
+	}
+	for _, batch := range got {
 		if len(batch) > 4 {
 			t.Fatalf("batch of %d exceeds MaxBatch 4", len(batch))
 		}
 	}
-	b.Close()
 }
 
-// TestBatcherDeadlineFlush: a lone item flushes once the window elapses even
-// though the batch is far from full.
-func TestBatcherDeadlineFlush(t *testing.T) {
-	b, log := collectingBatcher(BatcherConfig{MaxBatch: 1024, Window: 20 * time.Millisecond})
-	start := time.Now()
-	if err := b.Submit(context.Background(), 7); err != nil {
-		t.Fatal(err)
+// TestBatcherFIFOPerSubmitter: concurrent submitters each see their items
+// dispatched in submission order, whatever batches they land in.
+func TestBatcherFIFOPerSubmitter(t *testing.T) {
+	var mu sync.Mutex
+	var order []int
+	b := NewBatcher(BatcherConfig{MaxBatch: 3, QueueCap: 8, FlushWorkers: 1}, func(batch []int) {
+		mu.Lock()
+		order = append(order, batch...)
+		mu.Unlock()
+		time.Sleep(50 * time.Microsecond) // let the next items coalesce
+	})
+	const submitters, perS = 4, 100
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < perS; i++ {
+				if err := b.Submit(context.Background(), g*perS+i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for flushedCount(log()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("deadline flush never fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
-		t.Fatalf("flushed after %s, before the 20ms window", elapsed)
-	}
-	got := log()
-	if len(got) != 1 || len(got[0]) != 1 || got[0][0] != 7 {
-		t.Fatalf("flush log %v, want [[7]]", got)
-	}
-	// The timer path must leave the collector ready for the next batch.
-	if err := b.Submit(context.Background(), 8); err != nil {
-		t.Fatal(err)
-	}
-	for flushedCount(log()) < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("second deadline flush never fired")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	wg.Wait()
 	b.Close()
+	if len(order) != submitters*perS {
+		t.Fatalf("flushed %d items, want %d", len(order), submitters*perS)
+	}
+	next := make([]int, submitters)
+	for _, v := range order {
+		g, i := v/perS, v%perS
+		if i != next[g] {
+			t.Fatalf("submitter %d: item %d dispatched where %d was due", g, i, next[g])
+		}
+		next[g]++
+	}
 }
 
 // TestBatcherBackpressure: with the pipeline saturated by a blocked flush,
@@ -96,6 +214,8 @@ func TestBatcherDeadlineFlush(t *testing.T) {
 // while blocked, and resumes when capacity frees.
 func TestBatcherBackpressure(t *testing.T) {
 	gate := make(chan struct{})
+	var once sync.Once
+	release := func() { once.Do(func() { close(gate) }) }
 	var flushed atomic.Int64
 	const queueCap = 3
 	b := NewBatcher(BatcherConfig{MaxBatch: 1, QueueCap: queueCap, FlushWorkers: 1},
@@ -103,11 +223,13 @@ func TestBatcherBackpressure(t *testing.T) {
 			<-gate
 			flushed.Add(int64(len(batch)))
 		})
-	defer func() { b.Close() }()
+	// Release before closing, or a failed assertion would leave Close
+	// waiting on the stalled flush forever.
+	t.Cleanup(func() { release(); b.Close() })
 
-	// Saturate: 1 in the stalled worker, 1 in the dispatch buffer, 1 in the
-	// collector's hand, queueCap in the queue.
-	total := 3 + queueCap
+	// Saturate: 1 in the stalled worker, 1 in the collector's hand, queueCap
+	// in the queue — the pipeline holds exactly that many.
+	total := 2 + queueCap
 	for i := 0; i < total; i++ {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 		err := b.Submit(ctx, i)
@@ -132,7 +254,7 @@ func TestBatcherBackpressure(t *testing.T) {
 		t.Fatalf("submit on full queue returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	close(gate)
+	release()
 	select {
 	case err := <-done:
 		if err != nil {
@@ -148,16 +270,29 @@ func TestBatcherBackpressure(t *testing.T) {
 }
 
 // TestBatcherGracefulDrain: Close flushes every accepted item exactly once
-// before returning, and later submits are refused.
+// before returning — including a backlog queued behind a blocked worker —
+// and later submits are refused.
 func TestBatcherGracefulDrain(t *testing.T) {
-	b, log := collectingBatcher(BatcherConfig{MaxBatch: 8, Window: time.Hour, QueueCap: 256})
+	b, log, release := gatedBatcher(t, BatcherConfig{MaxBatch: 8, QueueCap: 256, FlushWorkers: 1})
 	const n = 100
 	for i := 0; i < n; i++ {
 		if err := b.Submit(context.Background(), i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b.Close() // the hour window must not delay the drain
+	closed := make(chan struct{})
+	go func() { b.Close(); close(closed) }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while accepted items were still queued")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close hung draining the backlog")
+	}
 	seen := make(map[int]int)
 	for _, batch := range log() {
 		for _, v := range batch {
@@ -183,7 +318,7 @@ func TestBatcherGracefulDrain(t *testing.T) {
 func TestBatcherDrainUnderCancellation(t *testing.T) {
 	var flushedMu sync.Mutex
 	flushed := make(map[int]int)
-	b := NewBatcher(BatcherConfig{MaxBatch: 4, Window: time.Millisecond, QueueCap: 8},
+	b := NewBatcher(BatcherConfig{MaxBatch: 4, QueueCap: 8},
 		func(batch []int) {
 			time.Sleep(100 * time.Microsecond) // keep the pipeline busy
 			flushedMu.Lock()
@@ -299,25 +434,4 @@ func TestBatcherCloseDuringConcurrentSubmit(t *testing.T) {
 			t.Errorf("item %d: flushed %d times, accepted=%v", id, c, ok)
 		}
 	}
-}
-
-// TestBatcherZeroWindowGreedy: window 0 coalesces only what is already
-// queued — items never wait on a timer.
-func TestBatcherZeroWindowGreedy(t *testing.T) {
-	b, log := collectingBatcher(BatcherConfig{MaxBatch: 64, Window: 0, QueueCap: 64})
-	start := time.Now()
-	if err := b.Submit(context.Background(), 1); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for flushedCount(log()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("zero-window flush never fired")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("zero-window flush took %s", elapsed)
-	}
-	b.Close()
 }

@@ -13,15 +13,13 @@ import (
 )
 
 // BenchmarkServeClassify measures end-to-end request throughput through the
-// full HTTP + micro-batching pipeline on one warm model, under the default
-// production batching config (2ms coalescing window). The serial case is the
-// single-request baseline: one client, one request in flight, so every
-// request waits out the window deadline — the latency cost of dynamic
-// batching when the server is idle. The concurrent case is the same server
-// under parallel load: batches hit MaxBatch and flush on size before the
-// deadline, so throughput scales back to engine/HTTP-bound (and, on
-// multi-core hosts, to parallel engine fan-out on top). The acceptance bar
-// is concurrent req/s >= 2x serial req/s.
+// full HTTP + micro-batching pipeline on one warm model. The serial case is
+// the single-request baseline: one client, one request in flight, so every
+// request finds a flush worker idle and is dispatched alone at once — the
+// per-request latency of an idle server. The concurrent case is the same
+// server under parallel load: with every flush worker busy, queued requests
+// coalesce into batches of up to MaxBatch, so throughput is engine/HTTP-bound
+// (and, on multi-core hosts, gains parallel engine fan-out on top).
 func BenchmarkServeClassify(b *testing.B) {
 	net := testNet(b, 31, 256, 128, 4)
 	body := func() []byte {
@@ -121,8 +119,8 @@ func decisiveBenchNet(tb testing.TB, inputs, neurons, classes int) *nn.Network {
 
 // BenchmarkServeClassifyConf measures end-to-end ensemble requests (16 copies,
 // 4 spf) exact versus confidence-gated through the full HTTP pipeline, on a
-// decisive-vote model. The coalescing window is disabled so the measured cost
-// is inference, not the idle-server batching deadline; the gap between the
+// decisive-vote model. MaxBatch 1 keeps every request in a batch of its own,
+// so the measured cost is one request's inference; the gap between the
 // exact and conf99 sub-benchmarks is the early-exit payoff a serving client
 // sees (BENCH_6.json).
 func BenchmarkServeClassifyConf(b *testing.B) {
@@ -140,7 +138,7 @@ func BenchmarkServeClassifyConf(b *testing.B) {
 			if _, err := reg.Register("m", net, nil); err != nil {
 				b.Fatal(err)
 			}
-			srv := NewServer(reg, Config{MaxBatch: 1, Window: -1, QueueCap: 1024, FlushWorkers: 4})
+			srv := NewServer(reg, Config{MaxBatch: 1, QueueCap: 1024, FlushWorkers: 4})
 			ts := httptest.NewServer(srv.Handler())
 			defer func() { ts.Close(); srv.Close() }()
 			body, err := json.Marshal(ClassifyRequest{Model: "m", Seed: 1, SPF: 4, Input: x,

@@ -164,7 +164,7 @@ func TestChaosRollingRestartFleet(t *testing.T) {
 	reps := make([]*chaosReplica, fleetSize)
 	urls := make([]string, fleetSize)
 	for i := range reps {
-		reps[i] = newChaosReplica(t, nets, Config{MaxBatch: 8, Window: time.Millisecond},
+		reps[i] = newChaosReplica(t, nets, Config{MaxBatch: 8},
 			filepath.Join(dir, fmt.Sprintf("rep%d.snap", i)))
 		urls[i] = reps[i].url()
 	}
@@ -323,8 +323,8 @@ func TestChaosRollingRestartFleet(t *testing.T) {
 // functionally it asserts traffic sees zero errors while the fleet changes.
 func TestChaosMembershipChurnUnderTraffic(t *testing.T) {
 	nets := map[string]*nn.Network{"m": testNet(t, 7, 12, 6, 2)}
-	f := newFleet(t, 3, nets, Config{MaxBatch: 8, Window: time.Millisecond}, RouterConfig{Attempts: 3})
-	extra := addBackend(t, f, nets, Config{MaxBatch: 8, Window: time.Millisecond})
+	f := newFleet(t, 3, nets, Config{MaxBatch: 8}, RouterConfig{Attempts: 3})
+	extra := addBackend(t, f, nets, Config{MaxBatch: 8})
 
 	const seedSpace = 32
 	x := make([]float64, 12)
@@ -422,11 +422,10 @@ func TestRollingRestartBench(t *testing.T) {
 	}
 	// The model must be big enough that drawing a sampled copy dwarfs HTTP
 	// and batching overhead — 512 neurons x 128 inputs is ~65k weights per
-	// copy, so a 16-copy cold first request pays ~1M weight draws. The
-	// batch window shrinks so it does not floor the warm measurement.
+	// copy, so a 16-copy cold first request pays ~1M weight draws.
 	nets := map[string]*nn.Network{"m": testNet(t, 7, 128, 512, 4)}
 	dir := t.TempDir()
-	cfg := Config{MaxBatch: 8, Window: 200 * time.Microsecond}
+	cfg := Config{MaxBatch: 8}
 
 	// (a) First-request latency, warm vs cold, ensemble working set.
 	const benchSeeds, copies = 3, 16

@@ -8,7 +8,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/deploy"
 	"repro/internal/nn"
@@ -68,8 +67,8 @@ func TestServeEnsembleExactBitIdentical(t *testing.T) {
 	}
 
 	configs := []Config{
-		{MaxBatch: 1, Window: -1, Workers: 1, FlushWorkers: 1},
-		{MaxBatch: 16, Window: 2 * time.Millisecond, Workers: 4},
+		{MaxBatch: 1, Workers: 1, FlushWorkers: 1},
+		{MaxBatch: 16, Workers: 4},
 	}
 	for ci, cfg := range configs {
 		t.Run(fmt.Sprintf("cfg%d", ci), func(t *testing.T) {
@@ -156,8 +155,8 @@ func TestServeEnsembleApproxDeterministic(t *testing.T) {
 	req := ClassifyRequest{Model: "m", Seed: 13, SPF: 2, Input: x, Copies: 16, Conf: confPtr(0.95)}
 	var ref []byte
 	for ci, cfg := range []Config{
-		{MaxBatch: 1, Window: -1, Workers: 1, FlushWorkers: 1},
-		{MaxBatch: 8, Window: time.Millisecond, Workers: 4},
+		{MaxBatch: 1, Workers: 1, FlushWorkers: 1},
+		{MaxBatch: 8, Workers: 4},
 	} {
 		reg := NewRegistry()
 		if _, err := reg.Register("m", net, nil); err != nil {

@@ -17,7 +17,7 @@ func errorServer(tb testing.TB) *Server {
 	if _, err := reg.Register("alpha", testNet(tb, 1, 8, 4, 2), nil); err != nil {
 		tb.Fatal(err)
 	}
-	return NewServer(reg, Config{MaxBatch: 4, Window: -1, MaxSPF: 4, MaxItems: 3})
+	return NewServer(reg, Config{MaxBatch: 4, MaxSPF: 4, MaxItems: 3})
 }
 
 // TestClassifyMalformedPayloads is the table-driven error-path suite: every

@@ -14,7 +14,7 @@ func demoTestServer(t *testing.T) (*Server, *httptest.Server) {
 	if _, err := reg.RegisterDemo(); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Config{MaxBatch: 8, Window: time.Millisecond})
+	srv := NewServer(reg, Config{MaxBatch: 8})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts
@@ -163,7 +163,7 @@ func TestParityCheckCatchesDivergence(t *testing.T) {
 	if _, err := reg.Register("demo", net, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Config{MaxBatch: 8, Window: time.Millisecond})
+	srv := NewServer(reg, Config{MaxBatch: 8})
 	tsB := httptest.NewServer(srv.Handler())
 	defer func() { tsB.Close(); srv.Close() }()
 

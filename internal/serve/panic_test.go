@@ -18,7 +18,7 @@ func TestPanicRecoveryMiddleware(t *testing.T) {
 	if _, err := reg.Register("m", testNet(t, 51, 8, 4, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Config{Window: -1})
+	srv := NewServer(reg, Config{})
 	// In-package seam: an extra route on the server's own mux, so the panic
 	// unwinds through the exact middleware chain Handler() serves.
 	srv.mux.HandleFunc("/debug/boom", func(http.ResponseWriter, *http.Request) {

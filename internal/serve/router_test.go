@@ -99,7 +99,7 @@ func TestRouterEndToEndBitIdentical(t *testing.T) {
 		n = 16
 	}
 	cases := e2eCases(t, nets, n)
-	f := newFleet(t, 3, nets, Config{MaxBatch: 8, Window: 2 * time.Millisecond, Workers: 2}, RouterConfig{})
+	f := newFleet(t, 3, nets, Config{MaxBatch: 8, Workers: 2}, RouterConfig{})
 
 	var wg sync.WaitGroup
 	errs := make(chan error, len(cases))
@@ -205,9 +205,13 @@ func TestRouterShardAffinity(t *testing.T) {
 // drained replica unused by later traffic.
 func TestRouterDrainUnderTraffic(t *testing.T) {
 	nets := map[string]*nn.Network{"m": testNet(t, 7, 12, 6, 2)}
-	// A 15ms window keeps requests in flight long enough for the drain to
-	// overlap them on a slow machine.
-	f := newFleet(t, 3, nets, Config{MaxBatch: 64, Window: 15 * time.Millisecond}, RouterConfig{})
+	f := newFleet(t, 3, nets, Config{MaxBatch: 64}, RouterConfig{})
+	// Hold every replica's flushes so the whole burst is provably in flight
+	// when the drain begins.
+	releases := make([]func(), len(f.servers))
+	for i, srv := range f.servers {
+		releases[i] = holdFlushes(t, srv)
+	}
 
 	x := make([]float64, 12)
 	for i := range x {
@@ -236,9 +240,32 @@ func TestRouterDrainUnderTraffic(t *testing.T) {
 			}
 		}(uint64(s))
 	}
-	time.Sleep(5 * time.Millisecond) // let part of the burst get in flight
-	victim := f.backends[0].URL
-	if err := f.router.Drain(victim); err != nil {
+	queued := func(i int) int64 { return f.servers[i].Stats().Models["m"].QueueDepth }
+	deadline := time.Now().Add(5 * time.Second)
+	for queued(0)+queued(1)+queued(2) < burst {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests reached the replicas", queued(0)+queued(1)+queued(2), burst)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Drain a replica that holds part of the burst; the drain must wait for
+	// its in-flight requests to finish.
+	vi := 0
+	for queued(vi) == 0 {
+		vi++
+	}
+	victim := f.backends[vi].URL
+	drained := make(chan error, 1)
+	go func() { drained <- f.router.Drain(victim) }()
+	select {
+	case err := <-drained:
+		t.Fatalf("Drain returned (%v) while its replica held %d requests", err, queued(vi))
+	case <-time.After(20 * time.Millisecond):
+	}
+	for _, release := range releases {
+		release()
+	}
+	if err := <-drained; err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
@@ -479,7 +506,7 @@ func TestRouterPropagatesShed(t *testing.T) {
 // the catalog, and the stats endpoint serves the replica table.
 func TestRouterParityCheckAndModels(t *testing.T) {
 	nets := map[string]*nn.Network{"m": testNet(t, 7, 12, 6, 2)}
-	f := newFleet(t, 3, nets, Config{MaxBatch: 4, Window: time.Millisecond}, RouterConfig{})
+	f := newFleet(t, 3, nets, Config{MaxBatch: 4}, RouterConfig{})
 
 	models, err := FetchModels(f.front.Client(), f.front.URL)
 	if err != nil {

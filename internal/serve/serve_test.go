@@ -91,6 +91,48 @@ func postClassify(tb testing.TB, client *http.Client, url string, req ClassifyRe
 	return resp, out, buf.String()
 }
 
+// holdFlushes makes every flush of srv wait, with its items still counted as
+// queued, until release is called. Call it before srv serves its first
+// request. release is idempotent and also runs at test cleanup; register any
+// cleanup that waits on the server (ts.Close, srv.Close) before calling
+// holdFlushes, so the release runs first and a failing test cannot hang.
+func holdFlushes(t *testing.T, srv *Server) (release func()) {
+	gate := make(chan struct{})
+	srv.holdFlush = gate
+	var once sync.Once
+	release = func() { once.Do(func() { close(gate) }) }
+	t.Cleanup(release)
+	return release
+}
+
+// waitQueued polls until model holds at least n queued items on srv, or
+// until answered (nil for none) has a value ready.
+func waitQueued(t *testing.T, srv *Server, model string, n int64, answered <-chan string) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Stats().Models[model].QueueDepth < n && len(answered) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("model %s never reached %d queued items", model, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// postAsync posts req in the background. The channel yields "" for a 200
+// response, or failf formatted with the status and body otherwise.
+func postAsync(t *testing.T, ts *httptest.Server, req ClassifyRequest, failf string) <-chan string {
+	out := make(chan string, 1)
+	go func() {
+		resp, _, raw := postClassify(t, ts.Client(), ts.URL, req)
+		msg := ""
+		if resp.StatusCode != http.StatusOK {
+			msg = fmt.Sprintf(failf, resp.StatusCode, raw)
+		}
+		out <- msg
+	}()
+	return out
+}
+
 // e2eCase is one concurrent request of the end-to-end suite with its
 // precomputed offline reference.
 type e2eCase struct {
@@ -147,9 +189,9 @@ func TestServeEndToEndBitIdentical(t *testing.T) {
 		"beta":  testNet(t, 22, 16, 8, 2),
 	}
 	configs := []Config{
-		{MaxBatch: 1, Window: -1, Workers: 1, FlushWorkers: 1}, // no coalescing at all
-		{MaxBatch: 8, Window: 2 * time.Millisecond, Workers: 4},
-		{MaxBatch: 64, Window: 5 * time.Millisecond, Workers: 2, FlushWorkers: 4, QueueCap: 512},
+		{MaxBatch: 1, Workers: 1, FlushWorkers: 1}, // no coalescing at all
+		{MaxBatch: 8, Workers: 4},
+		{MaxBatch: 64, Workers: 2, FlushWorkers: 4, QueueCap: 512},
 	}
 	n := 60
 	if testing.Short() {
@@ -236,7 +278,7 @@ func TestServeRepeatedRequestIsReproducible(t *testing.T) {
 	if _, err := reg.Register("m", net, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Config{MaxBatch: 4, Window: time.Millisecond})
+	srv := NewServer(reg, Config{MaxBatch: 4})
 	ts := httptest.NewServer(srv.Handler())
 	defer func() { ts.Close(); srv.Close() }()
 
@@ -421,9 +463,10 @@ func TestServeGracefulDrainServesAcceptedWork(t *testing.T) {
 	if _, err := reg.Register("m", net, nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Config{MaxBatch: 16, Window: 20 * time.Millisecond})
+	srv := NewServer(reg, Config{MaxBatch: 16})
 	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	t.Cleanup(ts.Close)
+	release := holdFlushes(t, srv)
 
 	x := make([]float64, 16)
 	for i := range x {
@@ -443,8 +486,16 @@ func TestServeGracefulDrainServesAcceptedWork(t *testing.T) {
 		}
 		done <- nil
 	}()
-	time.Sleep(5 * time.Millisecond) // let the item enter the window wait
-	srv.Close()                      // drain must flush it, not drop it
+	waitQueued(t, srv, "m", 1, nil) // the item is accepted and held in its flush
+	closed := make(chan struct{})
+	go func() { srv.Close(); close(closed) }() // drain must flush it, not drop it
+	select {
+	case <-closed:
+		t.Fatal("Close returned before the accepted item was classified")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	<-closed
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package serve is the dynamic-batching inference service in front of the
 // batched engine: an HTTP layer that accepts single and batched classify
 // requests, coalesces concurrent requests into engine batches through a
-// size- and deadline-triggered micro-batcher with a bounded queue, and serves
+// work-conserving micro-batcher with a bounded queue (a batch goes to an idle
+// flush worker at once and grows only while every worker is busy), and serves
 // them from a registry of trained networks compiled once into
 // deploy.QuantPlans with a warm cache of sampled copies per (model, seed).
 //
@@ -34,11 +35,8 @@ import (
 
 // Config tunes the serving pipeline. The zero value serves with defaults.
 type Config struct {
-	// MaxBatch is the size-triggered flush threshold (default 64).
+	// MaxBatch caps the items coalesced into one flush (default 64).
 	MaxBatch int
-	// Window is the deadline-triggered flush latency bound (default 2ms;
-	// negative = flush immediately, no coalescing wait).
-	Window time.Duration
 	// QueueCap bounds the pending-item queue (default 4*MaxBatch); a full
 	// queue blocks request handlers (backpressure) instead of buffering
 	// without limit.
@@ -80,9 +78,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
-	}
-	if c.Window == 0 {
-		c.Window = 2 * time.Millisecond
 	}
 	if c.MaxSPF <= 0 {
 		c.MaxSPF = 64
@@ -205,6 +200,10 @@ type Server struct {
 	items   atomic.Int64
 	sheds   atomic.Int64
 	panics  atomic.Int64
+	// holdFlush, when non-nil, makes every flush wait for it to close before
+	// its items leave the queue. Tests set it before the first request to
+	// keep accepted work provably queued or in flight.
+	holdFlush chan struct{}
 }
 
 // NewServer builds a server over reg.
@@ -212,7 +211,6 @@ func NewServer(reg *Registry, cfg Config) *Server {
 	s := &Server{reg: reg, cfg: cfg.withDefaults(), start: time.Now()}
 	s.batcher = NewBatcher(BatcherConfig{
 		MaxBatch:     s.cfg.MaxBatch,
-		Window:       max(s.cfg.Window, 0),
 		QueueCap:     s.cfg.QueueCap,
 		FlushWorkers: s.cfg.FlushWorkers,
 	}, s.flushBatch)
@@ -282,6 +280,9 @@ func (s *Server) Stats() Stats {
 // from its own (seed, item) pair — grouping and scheduling cannot influence
 // results.
 func (s *Server) flushBatch(batch []*queued) {
+	if s.holdFlush != nil {
+		<-s.holdFlush
+	}
 	groups := make(map[*ModelEntry][]*queued)
 	dequeued := time.Now()
 	for _, q := range batch {

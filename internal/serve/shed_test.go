@@ -7,33 +7,33 @@ import (
 	"time"
 )
 
-// shedFleet boots one server with a long batching window so the first
-// request parks in the window wait and holds the model's queue depth up
-// while a second request probes the admission gate.
-func shedServer(t *testing.T, shedDepth int, retryAfter int) (*Server, *httptest.Server) {
+// shedServer boots one server whose flushes are held until release, so the
+// first request stays queued and holds the model's queue depth up while a
+// second request probes the admission gate.
+func shedServer(t *testing.T, shedDepth int, retryAfter int) (srv *Server, ts *httptest.Server, release func()) {
 	t.Helper()
 	reg := NewRegistry()
 	if _, err := reg.Register("m", testNet(t, 44, 8, 4, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Config{
-		MaxBatch: 64, Window: 300 * time.Millisecond, QueueCap: 256,
+	srv = NewServer(reg, Config{
+		MaxBatch: 64, QueueCap: 256,
 		ShedDepth: shedDepth, RetryAfterS: retryAfter,
 	})
-	ts := httptest.NewServer(srv.Handler())
+	ts = httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
-	return srv, ts
+	return srv, ts, holdFlushes(t, srv)
 }
 
 // TestServeAdmissionShedsAtWatermark: once a model's queued items exceed
 // ShedDepth, further requests are refused with 429 + Retry-After instead of
 // joining the queue, and both per-model and global shed counters move.
 func TestServeAdmissionShedsAtWatermark(t *testing.T) {
-	srv, ts := shedServer(t, 1, 5)
+	srv, ts, release := shedServer(t, 1, 5)
 	x := make([]float64, 8)
 
-	// First request occupies the queue (the 300ms window parks it there);
-	// launch async since it will not return until the window flushes.
+	// First request occupies the queue (its flush is held); launch async
+	// since it will not return until the hold is released.
 	first := make(chan int, 1)
 	go func() {
 		resp, _, _ := postClassify(t, ts.Client(), ts.URL, ClassifyRequest{Model: "m", Seed: 1, Input: x})
@@ -47,6 +47,7 @@ func TestServeAdmissionShedsAtWatermark(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	queuedAt := time.Now()
 
 	resp, _, raw := postClassify(t, ts.Client(), ts.URL, ClassifyRequest{Model: "m", Seed: 2, Input: x})
 	if resp.StatusCode != http.StatusTooManyRequests {
@@ -55,6 +56,9 @@ func TestServeAdmissionShedsAtWatermark(t *testing.T) {
 	if got := resp.Header.Get("Retry-After"); got != "5" {
 		t.Fatalf("Retry-After %q, want \"5\"", got)
 	}
+	// Hold the first flush 300ms, so its recorded queue wait is unmistakable.
+	time.Sleep(time.Until(queuedAt.Add(300 * time.Millisecond)))
+	release()
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("first (admitted) request status %d", code)
 	}
@@ -70,10 +74,10 @@ func TestServeAdmissionShedsAtWatermark(t *testing.T) {
 	if m.QueueDepth != 0 {
 		t.Fatalf("queue depth %d after flush, want 0", m.QueueDepth)
 	}
-	// The admitted item waited out most of the window; the wait stats must
+	// The admitted item waited out the held flush; the wait stats must
 	// reflect that — and reset on the next scrape (scrape-windowed).
 	if m.QueueWaitMaxMS < 100 || m.QueueWaitMeanMS < 100 {
-		t.Fatalf("queue-wait stats %+v too small for a 300ms window", m)
+		t.Fatalf("queue-wait stats %+v too small for a 300ms hold", m)
 	}
 	if again := srv.Stats().Models["m"]; again.QueueWaitMaxMS != 0 || again.QueueWaitMeanMS != 0 {
 		t.Fatalf("queue-wait stats %+v did not reset after scrape", again)
@@ -83,7 +87,7 @@ func TestServeAdmissionShedsAtWatermark(t *testing.T) {
 // TestServeShedDisabledByDefault: without a watermark the same overload
 // pattern is absorbed by the bounded queue, not refused.
 func TestServeShedDisabledByDefault(t *testing.T) {
-	srv, ts := shedServer(t, 0, 0)
+	srv, ts, release := shedServer(t, 0, 0)
 	x := make([]float64, 8)
 	first := make(chan int, 1)
 	go func() {
@@ -97,9 +101,14 @@ func TestServeShedDisabledByDefault(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	resp, _, raw := postClassify(t, ts.Client(), ts.URL, ClassifyRequest{Model: "m", Seed: 2, Input: x})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d with shedding disabled, want 200: %s", resp.StatusCode, raw)
+	// The second request is admitted into the queue, not refused; it
+	// completes once the held flushes are released.
+	second := postAsync(t, ts, ClassifyRequest{Model: "m", Seed: 2, Input: x},
+		"status %d with shedding disabled, want 200: %s")
+	waitQueued(t, srv, "m", 2, second)
+	release()
+	if msg := <-second; msg != "" {
+		t.Fatal(msg)
 	}
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("first request status %d", code)
@@ -119,9 +128,10 @@ func TestServeShedPerModelIsolation(t *testing.T) {
 	if _, err := reg.Register("cold", testNet(t, 45, 8, 4, 2), nil); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewServer(reg, Config{MaxBatch: 64, Window: 300 * time.Millisecond, ShedDepth: 1})
+	srv := NewServer(reg, Config{MaxBatch: 64, ShedDepth: 1})
 	ts := httptest.NewServer(srv.Handler())
-	defer func() { ts.Close(); srv.Close() }()
+	t.Cleanup(func() { ts.Close(); srv.Close() })
+	release := holdFlushes(t, srv)
 
 	x := make([]float64, 8)
 	first := make(chan int, 1)
@@ -139,14 +149,17 @@ func TestServeShedPerModelIsolation(t *testing.T) {
 	// hot is at its watermark: more hot traffic sheds immediately, but cold
 	// must still be admitted (its own queue is empty). Probe hot first — a
 	// shed returns instantly, while an admitted request blocks until the
-	// shared window flush drains both queues.
+	// held flushes are released.
 	resp, _, _ := postClassify(t, ts.Client(), ts.URL, ClassifyRequest{Model: "hot", Seed: 3, Input: x})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("hot model status %d over watermark, want 429", resp.StatusCode)
 	}
-	resp, _, raw := postClassify(t, ts.Client(), ts.URL, ClassifyRequest{Model: "cold", Seed: 2, Input: x})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("cold model status %d while hot is saturated: %s", resp.StatusCode, raw)
+	cold := postAsync(t, ts, ClassifyRequest{Model: "cold", Seed: 2, Input: x},
+		"cold model status %d while hot is saturated: %s")
+	waitQueued(t, srv, "cold", 1, cold)
+	release()
+	if msg := <-cold; msg != "" {
+		t.Fatal(msg)
 	}
 	<-first
 	st := srv.Stats()

@@ -12,7 +12,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/nn"
@@ -102,7 +101,7 @@ func TestSnapshotRoundTripBitIdentical(t *testing.T) {
 
 		// The externally visible property: both registries serve byte-identical
 		// HTTP responses, including for the warm seeds and for cold ones.
-		cfg := Config{MaxBatch: 4, Window: time.Millisecond}
+		cfg := Config{MaxBatch: 4}
 		ts1 := httptest.NewServer(NewServer(reg1, cfg).Handler())
 		ts2 := httptest.NewServer(NewServer(reg2, cfg).Handler())
 		src := rng.NewPCG32(uint64(round), 23)
