@@ -521,6 +521,23 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	}
 }
 
+// BenchmarkTrainEpochBiased is BenchmarkTrainEpoch under the paper's
+// biased penalty (Eq. 17) with perfbench's trainer settings: lambda 0.0005
+// from the first step and 2 workers, so the penalty's per-weight update
+// runs on every batch.
+func BenchmarkTrainEpochBiased(b *testing.B) {
+	net, train := trainEpochFixture(b)
+	cfg := nn.TrainConfig{Epochs: 1, Batch: 32, LR: 0.1, Momentum: 0.9, Seed: 1, Workers: 2,
+		Lambda: 0.0005, Penalty: nn.NewBiasedPenalty()}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := nn.Train(net, train, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEvaluate measures expectation-model ("Caffe") accuracy evaluation
 // on the bench-1 network — the float-accuracy pass run after every training.
 func BenchmarkEvaluate(b *testing.B) {

@@ -16,7 +16,9 @@ import (
 // Determinism note: the pool hands out task indices, not data. Training
 // binds task index w to shard w's gradient buffers, so which goroutine runs
 // a task never affects where its results accumulate, and the fixed-order
-// shard reduction stays bit-reproducible for a given worker count.
+// shard reduction stays bit-reproducible for a given worker count. The
+// update round binds task t to core t, whose elements no other task
+// touches.
 type pool struct {
 	nw    int
 	tasks int

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 
@@ -123,6 +124,9 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	if err := net.Validate(); err != nil {
 		return 0, fmt.Errorf("nn: train: %w", err)
 	}
+	if err := cfg.validate(); err != nil {
+		return 0, fmt.Errorf("nn: train: %w", err)
+	}
 	if train.Len() == 0 {
 		return 0, fmt.Errorf("nn: train: empty dataset")
 	}
@@ -136,7 +140,7 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	for i := range shards {
 		shards[i] = &trainShard{g: net.newGrads(), bs: net.newBatchScratch(shardCap, true)}
 	}
-	velocity := net.newGrads()
+	updates := newCoreUpdates(net, shards)
 	inputs := padInputs(net, train)
 	pool := newPool(nw)
 	defer pool.close()
@@ -164,7 +168,9 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 			if epoch < cfg.Warmup {
 				lambda = 0
 			}
-			applyUpdate(net, shards, active, velocity, lr, lambda, cfg, float64(len(batch)))
+			step := updateStep{active: active, inv: 1 / float64(len(batch)), lr: lr, lambda: lambda,
+				momentum: cfg.Momentum, cmax: net.CMax}
+			applyUpdate(pool, updates, step, cfg.Penalty)
 		}
 		lastLoss = totalLoss / float64(train.Len())
 		if cfg.Progress != nil {
@@ -177,60 +183,111 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	return lastLoss, nil
 }
 
+// validate rejects settings Train cannot run: a non-positive batch, a
+// negative epoch count, or a non-finite rate, momentum or lambda (any of
+// which would turn every weight into NaN).
+func (c *TrainConfig) validate() error {
+	if c.Batch <= 0 {
+		return fmt.Errorf("batch size %d is not positive", c.Batch)
+	}
+	if c.Epochs < 0 {
+		return fmt.Errorf("epoch count %d is negative", c.Epochs)
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"learning rate", c.LR}, {"momentum", c.Momentum}, {"lambda", c.Lambda}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("%s %v is not finite", f.name, f.v)
+		}
+	}
+	return nil
+}
+
+// coreUpdate is one core's share of the momentum SGD step: its weights, its
+// velocity and every shard's gradient buffers for it. The table is built
+// once per Train, so a batch's update allocates nothing.
+type coreUpdate struct {
+	c      *CoreSpec
+	v      coreGrads
+	gw, gb [][]float64 // [shard] weight and bias gradients
+}
+
+func newCoreUpdates(net *Network, shards []*trainShard) []coreUpdate {
+	velocity := net.newGrads()
+	var ups []coreUpdate
+	for li, l := range net.Layers {
+		for ci, c := range l.Cores {
+			u := coreUpdate{c: c, v: velocity.layers[li][ci]}
+			for _, sh := range shards {
+				g := sh.g.layers[li][ci]
+				u.gw = append(u.gw, g.W.Data)
+				u.gb = append(u.gb, g.Bias)
+			}
+			ups = append(ups, u)
+		}
+	}
+	return ups
+}
+
+// updateStep carries one batch's update parameters: active shards, the
+// 1/batch scale, and the epoch's rate and penalty weight.
+type updateStep struct {
+	active                          int
+	inv, lr, lambda, momentum, cmax float64
+}
+
 // applyUpdate performs one momentum SGD step straight from the unreduced
 // shard gradients:
 // v <- momentum*v - lr*(sum(shardGrad)/batch + lambda*penaltyGrad);
-// w <- clamp(w+v). The shard reduction folds into the update pass in fixed
-// ascending shard order — bit-identical to merging the buffers first, but
-// one pass over gradient memory instead of two. The concrete-penalty
-// dispatch devirtualizes the per-weight Grad call of the known penalties
-// while keeping the update arithmetic identical.
-func applyUpdate(net *Network, shards []*trainShard, active int, velocity *netGrads, lr, lambda float64, cfg TrainConfig, batchSize float64) {
-	switch p := cfg.Penalty.(type) {
+// w <- clamp(w+v). It runs on the pool as one task per core. Every element
+// is updated independently and folds the shard gradients in fixed
+// ascending shard order, so neither the split nor the scheduling changes a
+// bit: the result equals merging the buffers first, in one pass over
+// gradient memory instead of two. The concrete-penalty dispatch
+// devirtualizes the per-weight Grad call of the known penalties while
+// keeping the update arithmetic identical.
+func applyUpdate(pool *pool, ups []coreUpdate, st updateStep, pen Penalty) {
+	switch p := pen.(type) {
 	case NonePenalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		runUpdate(pool, ups, st, p)
 	case L1Penalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		runUpdate(pool, ups, st, p)
 	case L2Penalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		runUpdate(pool, ups, st, p)
 	case BiasedPenalty:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, p)
+		runUpdate(pool, ups, st, p)
 	default:
-		applyUpdateWith(net, shards, active, velocity, lr, lambda, cfg, batchSize, cfg.Penalty)
+		runUpdate(pool, ups, st, pen)
 	}
 }
 
-func applyUpdateWith[P Penalty](net *Network, shards []*trainShard, active int, velocity *netGrads, lr, lambda float64, cfg TrainConfig, batchSize float64, pen P) {
-	inv := 1 / batchSize
-	wsrc := make([][]float64, active)
-	bsrc := make([][]float64, active)
-	for li, l := range net.Layers {
-		for ci, c := range l.Cores {
-			v := velocity.layers[li][ci]
-			for s := 0; s < active; s++ {
-				wsrc[s] = shards[s].g.layers[li][ci].W.Data
-				bsrc[s] = shards[s].g.layers[li][ci].Bias
-			}
-			for i := range c.W.Data {
-				g := wsrc[0][i]
-				for s := 1; s < active; s++ {
-					g += wsrc[s][i]
-				}
-				w := c.W.Data[i]
-				grad := g*inv + lambda*pen.Grad(w, net.CMax)
-				v.W.Data[i] = cfg.Momentum*v.W.Data[i] - lr*grad
-				c.W.Data[i] = tensor.Clamp(w+v.W.Data[i], -net.CMax, net.CMax)
-			}
-			for j := range c.Bias {
-				g := bsrc[0][j]
-				for s := 1; s < active; s++ {
-					g += bsrc[s][j]
-				}
-				grad := g * inv
-				v.Bias[j] = cfg.Momentum*v.Bias[j] - lr*grad
-				c.Bias[j] += v.Bias[j]
-			}
+func runUpdate[P Penalty](pool *pool, ups []coreUpdate, st updateStep, pen P) {
+	pool.run(len(ups), func(t int) { updateCore(&ups[t], st, pen) })
+}
+
+func updateCore[P Penalty](u *coreUpdate, st updateStep, pen P) {
+	gw, gb := u.gw[:st.active], u.gb[:st.active]
+	w, vw := u.c.W.Data, u.v.W.Data
+	for i := range w {
+		g := gw[0][i]
+		for s := 1; s < len(gw); s++ {
+			g += gw[s][i]
 		}
+		wi := w[i]
+		grad := g*st.inv + st.lambda*pen.Grad(wi, st.cmax)
+		vw[i] = st.momentum*vw[i] - st.lr*grad
+		w[i] = tensor.Clamp(wi+vw[i], -st.cmax, st.cmax)
+	}
+	bias, vb := u.c.Bias, u.v.Bias
+	for j := range bias {
+		g := gb[0][j]
+		for s := 1; s < len(gb); s++ {
+			g += gb[s][j]
+		}
+		grad := g * st.inv
+		vb[j] = st.momentum*vb[j] - st.lr*grad
+		bias[j] += vb[j]
 	}
 }
 

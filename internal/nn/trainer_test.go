@@ -181,6 +181,47 @@ func TestTrainRejectsEmptyDataset(t *testing.T) {
 	}
 }
 
+// TestTrainRejectsBadConfig: settings Train cannot run return an error
+// before any work, instead of panicking inside the batcher or training the
+// weights into NaN, and leave the network untouched.
+func TestTrainRejectsBadConfig(t *testing.T) {
+	good := TrainConfig{Epochs: 1, Batch: 8, LR: 0.1, Momentum: 0.9, Lambda: 0.001,
+		Penalty: NewBiasedPenalty(), Seed: 7, Workers: 2}
+	for _, tc := range []struct {
+		name string
+		bad  func(*TrainConfig)
+	}{
+		{"zero batch", func(c *TrainConfig) { c.Batch = 0 }},
+		{"negative batch", func(c *TrainConfig) { c.Batch = -8 }},
+		{"negative epochs", func(c *TrainConfig) { c.Epochs = -1 }},
+		{"NaN learning rate", func(c *TrainConfig) { c.LR = math.NaN() }},
+		{"infinite learning rate", func(c *TrainConfig) { c.LR = math.Inf(1) }},
+		{"NaN momentum", func(c *TrainConfig) { c.Momentum = math.NaN() }},
+		{"infinite momentum", func(c *TrainConfig) { c.Momentum = math.Inf(-1) }},
+		{"NaN lambda", func(c *TrainConfig) { c.Lambda = math.NaN() }},
+		{"infinite lambda", func(c *TrainConfig) { c.Lambda = math.Inf(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
+			before := net.Weights()
+			cfg := good
+			tc.bad(&cfg)
+			if _, err := Train(net, blobs(40, 3), cfg); err == nil {
+				t.Fatal("accepted")
+			}
+			for i, w := range net.Weights() {
+				if !sameBits(w, before[i]) {
+					t.Fatalf("weight %d changed by a rejected run", i)
+				}
+			}
+		})
+	}
+	net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
+	if _, err := Train(net, blobs(40, 3), good); err != nil {
+		t.Fatalf("base config rejected: %v", err)
+	}
+}
+
 func TestTrainProgressCallback(t *testing.T) {
 	net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
 	epochs := 0
