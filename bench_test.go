@@ -444,6 +444,42 @@ func BenchmarkChipDeployFrameDense(b *testing.B) {
 	}
 }
 
+// BenchmarkChipEnsembleFrame measures one classification frame (4 spf) on a
+// shared chip hosting 64 sampled copies of the bench-1 biased model — 256
+// cores under annealed placement with NoC accounting — the shape of
+// perfbench's chip workload. Each frame reseeds the chip and the input
+// stream from its index, as perfbench does. This chip is large enough for
+// Chip.Tick to split core evaluation across goroutines.
+func BenchmarkChipEnsembleFrame(b *testing.B) {
+	r := runner(b)
+	bench, _ := eval.BenchByID(1)
+	m, err := r.Model(bench, "biased")
+	if err != nil {
+		b.Fatal(err)
+	}
+	_, test := r.Data(bench)
+	plan := deploy.CompileQuant(m.Net)
+	root := rng.NewPCG32(5, 13)
+	nets := make([]*deploy.SampledNet, 64)
+	for c := range nets {
+		nets[c] = plan.Sample(root.Split(uint64(c)), deploy.DefaultSampleConfig())
+	}
+	cn, err := deploy.BuildChipEnsemblePlaced(nets, deploy.MapSigned, 5, deploy.PlacerAnneal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := rng.NewPCG32(0, 0)
+	cn.Frame(test.X[0], 4, src) // compile the chip's plans outside the timer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := i % test.Len()
+		cn.Chip.Reseed(rng.SplitMix64(5 + uint64(k)))
+		src.Seed(5, 31+uint64(k))
+		cn.Frame(test.X[k], 4, src)
+	}
+}
+
 // BenchmarkSampleCopy measures copy-sampling throughput from a precompiled
 // QuantPlan — the repeats*copies inner loop of every deployment surface.
 func BenchmarkSampleCopy(b *testing.B) {

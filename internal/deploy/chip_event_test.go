@@ -2,10 +2,14 @@ package deploy
 
 import (
 	"fmt"
+	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
 	"repro/internal/rng"
+	"repro/internal/truenorth"
 )
 
 // fractionalBiasNet builds a 1-layer random network with fractional biases so
@@ -200,6 +204,80 @@ func TestChipEnsembleMatchesSeparateChips(t *testing.T) {
 	for k := range got {
 		if got[k] != dense[k] {
 			t.Fatalf("class %d: event %d vs dense %d", k, got[k], dense[k])
+		}
+	}
+}
+
+// TestChipEnsembleFrameGOMAXPROCS pins the parallel chip tick at the frame
+// level. A 32-copy ensemble of a two-layer net with fractional biases
+// (stochastic leak on every neuron) is large enough for Chip.Tick to split
+// core evaluation across goroutines. Its frames must give the same counts,
+// Stats and NoC counters at GOMAXPROCS 1, where every tick takes the serial
+// loop, and at GOMAXPROCS 2, and both must match the dense oracle.
+func TestChipEnsembleFrameGOMAXPROCS(t *testing.T) {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	arch := &nn.Arch{
+		Name: "parallel", InputH: 16, InputW: 16, Block: 8, Stride: 4,
+		CoreSize: 64, Classes: 4, Tau: 4,
+		Windows: []nn.Window{{Size: 2, Stride: 1}},
+	}
+	net, err := arch.Build(rng.NewPCG32(41, 5), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bsrc := rng.NewPCG32(41, 6)
+	for _, l := range net.Layers {
+		for _, c := range l.Cores {
+			for j := range c.Bias {
+				c.Bias[j] = rng.Float64(bsrc)*4 - 2
+			}
+		}
+	}
+	root := rng.NewPCG32(42, 1)
+	nets := make([]*SampledNet, 32)
+	for c := range nets {
+		nets[c] = Sample(net, root.Split(uint64(c)), DefaultSampleConfig())
+	}
+	cn, err := BuildChipEnsemblePlaced(nets, MapSigned, 43, PlacerLayered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		Counts                   []int64
+		Stats                    truenorth.Stats
+		Spikes, Hops             int64
+		CoreSpikes, HLink, VLink []int64
+	}
+	frame := func(procs, item int, dense bool) result {
+		runtime.GOMAXPROCS(procs)
+		x := make([]float64, 16*16)
+		xsrc := rng.NewPCG32(44, uint64(item))
+		for i := range x {
+			x[i] = rng.Float64(xsrc)
+		}
+		cn.Chip.Reseed(uint64(item))
+		src := rng.NewPCG32(45, uint64(item))
+		var counts []int64
+		if dense {
+			counts = cn.FrameDense(x, 4, src)
+		} else {
+			counts = cn.Frame(x, 4, src)
+		}
+		noc := cn.Chip.NoC()
+		return result{counts, cn.Chip.Stats(), noc.Spikes, noc.Hops,
+			slices.Clone(noc.CoreSpikes), slices.Clone(noc.HLink), slices.Clone(noc.VLink)}
+	}
+	for item := 0; item < 6; item++ {
+		serial, parallel, dense := frame(1, item, false), frame(2, item, false), frame(2, item, true)
+		if !reflect.DeepEqual(serial, parallel) {
+			t.Fatalf("item %d: GOMAXPROCS 1 %+v\nvs GOMAXPROCS 2 %+v", item, serial, parallel)
+		}
+		if !reflect.DeepEqual(parallel, dense) {
+			t.Fatalf("item %d: event %+v\nvs dense %+v", item, parallel, dense)
+		}
+		if serial.Spikes == 0 {
+			t.Fatalf("item %d: no core-to-core traffic, the NoC comparison is vacuous", item)
 		}
 	}
 }

@@ -159,7 +159,12 @@ type MLPTrainConfig struct {
 // Train, the hot loop is batched over the tensor GEMM kernels on a
 // persistent work-stealing pool with a fixed-order gradient reduction, and
 // stays bit-identical to the per-sample reference (pinned by batch_test.go).
+// Settings Train rejects (a non-positive batch, negative epochs, a non-finite
+// rate, momentum, decay or lambda) return an error before any weight moves.
 func TrainMLP(m *MLP, train *dataset.Dataset, cfg MLPTrainConfig) error {
+	if err := validateSGD(cfg.Batch, cfg.Epochs, cfg.LR, cfg.Momentum, cfg.LRDecay, cfg.Lambda); err != nil {
+		return fmt.Errorf("nn: TrainMLP: %w", err)
+	}
 	if train.Len() == 0 {
 		return fmt.Errorf("nn: TrainMLP: empty dataset")
 	}

@@ -124,7 +124,7 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	if err := net.Validate(); err != nil {
 		return 0, fmt.Errorf("nn: train: %w", err)
 	}
-	if err := cfg.validate(); err != nil {
+	if err := validateSGD(cfg.Batch, cfg.Epochs, cfg.LR, cfg.Momentum, cfg.LRDecay, cfg.Lambda); err != nil {
 		return 0, fmt.Errorf("nn: train: %w", err)
 	}
 	if train.Len() == 0 {
@@ -183,20 +183,20 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	return lastLoss, nil
 }
 
-// validate rejects settings Train cannot run: a non-positive batch, a
-// negative epoch count, or a non-finite rate, momentum or lambda (any of
-// which would turn every weight into NaN).
-func (c *TrainConfig) validate() error {
-	if c.Batch <= 0 {
-		return fmt.Errorf("batch size %d is not positive", c.Batch)
+// validateSGD rejects settings Train and TrainMLP cannot run: a non-positive
+// batch, a negative epoch count, or a non-finite rate, momentum, rate decay
+// or lambda (any of which would turn every weight into NaN).
+func validateSGD(batch, epochs int, lr, momentum, lrDecay, lambda float64) error {
+	if batch <= 0 {
+		return fmt.Errorf("batch size %d is not positive", batch)
 	}
-	if c.Epochs < 0 {
-		return fmt.Errorf("epoch count %d is negative", c.Epochs)
+	if epochs < 0 {
+		return fmt.Errorf("epoch count %d is negative", epochs)
 	}
 	for _, f := range []struct {
 		name string
 		v    float64
-	}{{"learning rate", c.LR}, {"momentum", c.Momentum}, {"lambda", c.Lambda}} {
+	}{{"learning rate", lr}, {"momentum", momentum}, {"rate decay", lrDecay}, {"lambda", lambda}} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("%s %v is not finite", f.name, f.v)
 		}

@@ -181,12 +181,31 @@ func TestTrainRejectsEmptyDataset(t *testing.T) {
 	}
 }
 
-// TestTrainRejectsBadConfig: settings Train cannot run return an error
-// before any work, instead of panicking inside the batcher or training the
-// weights into NaN, and leave the network untouched.
+// TestTrainRejectsBadConfig: settings Train and TrainMLP cannot run return an
+// error before any work, instead of panicking inside the batcher or training
+// the weights into NaN, and leave the network untouched.
 func TestTrainRejectsBadConfig(t *testing.T) {
-	good := TrainConfig{Epochs: 1, Batch: 8, LR: 0.1, Momentum: 0.9, Lambda: 0.001,
+	good := TrainConfig{Epochs: 1, Batch: 8, LR: 0.1, Momentum: 0.9, LRDecay: 0.9, Lambda: 0.001,
 		Penalty: NewBiasedPenalty(), Seed: 7, Workers: 2}
+	mlpConfig := func(c TrainConfig) MLPTrainConfig {
+		return MLPTrainConfig{Epochs: c.Epochs, Batch: c.Batch, LR: c.LR, Momentum: c.Momentum,
+			LRDecay: c.LRDecay, Lambda: c.Lambda, Seed: c.Seed, Workers: c.Workers}
+	}
+	mlpParams := func(m *MLP) []float64 {
+		var v []float64
+		for l, w := range m.W {
+			v = append(append(v, w.Data...), m.B[l]...)
+		}
+		return v
+	}
+	unchanged := func(t *testing.T, trainer string, got, before []float64) {
+		t.Helper()
+		for i, w := range got {
+			if !sameBits(w, before[i]) {
+				t.Fatalf("%s: parameter %d changed by a rejected run", trainer, i)
+			}
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		bad  func(*TrainConfig)
@@ -198,27 +217,34 @@ func TestTrainRejectsBadConfig(t *testing.T) {
 		{"infinite learning rate", func(c *TrainConfig) { c.LR = math.Inf(1) }},
 		{"NaN momentum", func(c *TrainConfig) { c.Momentum = math.NaN() }},
 		{"infinite momentum", func(c *TrainConfig) { c.Momentum = math.Inf(-1) }},
+		{"NaN rate decay", func(c *TrainConfig) { c.LRDecay = math.NaN() }},
+		{"infinite rate decay", func(c *TrainConfig) { c.LRDecay = math.Inf(1) }},
 		{"NaN lambda", func(c *TrainConfig) { c.Lambda = math.NaN() }},
 		{"infinite lambda", func(c *TrainConfig) { c.Lambda = math.Inf(1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
-			before := net.Weights()
 			cfg := good
 			tc.bad(&cfg)
+			net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
+			before := net.Weights()
 			if _, err := Train(net, blobs(40, 3), cfg); err == nil {
-				t.Fatal("accepted")
+				t.Fatal("Train accepted")
 			}
-			for i, w := range net.Weights() {
-				if !sameBits(w, before[i]) {
-					t.Fatalf("weight %d changed by a rejected run", i)
-				}
+			unchanged(t, "Train", net.Weights(), before)
+			m := NewMLP(rng.NewPCG32(2, 2), 64, 16, 2)
+			before = mlpParams(m)
+			if err := TrainMLP(m, blobs(40, 3), mlpConfig(cfg)); err == nil {
+				t.Fatal("TrainMLP accepted")
 			}
+			unchanged(t, "TrainMLP", mlpParams(m), before)
 		})
 	}
 	net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
 	if _, err := Train(net, blobs(40, 3), good); err != nil {
-		t.Fatalf("base config rejected: %v", err)
+		t.Fatalf("base config rejected by Train: %v", err)
+	}
+	if err := TrainMLP(NewMLP(rng.NewPCG32(2, 2), 64, 16, 2), blobs(40, 3), mlpConfig(good)); err != nil {
+		t.Fatalf("base config rejected by TrainMLP: %v", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/rng"
@@ -26,6 +27,10 @@ const (
 	// int32 limits, so membrane sums wrap and leaks sit at the edge of the
 	// band where the draw decides.
 	shapeExtreme
+	// shapeMany draws 96-128 cores of 1-70 axons x 32-96 neurons: enough
+	// neurons per tick for Tick to split evaluation across goroutines, with
+	// every chunk delivering into destinations other chunks deliver to.
+	shapeMany
 )
 
 // buildRandomChip constructs a randomized chip whose topology, weights,
@@ -40,12 +45,18 @@ func buildShapedChip(seed uint64, shape chipShape) *Chip {
 	ch := NewChip(seed)
 	ch.SetExternalSinks(3)
 	nCores := 2 + rng.Intn(src, 5)
+	if shape == shapeMany {
+		nCores = 96 + rng.Intn(src, 33)
+	}
 	type dims struct{ axons, neurons int }
 	dd := make([]dims, nCores)
 	for i := range dd {
-		if shape == shapeWide {
+		switch shape {
+		case shapeWide:
 			dd[i] = dims{axons: 193 + rng.Intn(src, 64), neurons: 1 + rng.Intn(src, 256)}
-		} else {
+		case shapeMany:
+			dd[i] = dims{axons: 1 + rng.Intn(src, 70), neurons: 32 + rng.Intn(src, 65)}
+		default:
 			dd[i] = dims{axons: 1 + rng.Intn(src, 70), neurons: 1 + rng.Intn(src, 40)}
 		}
 		if shape == shapeManyFrac && i == 0 {
@@ -941,6 +952,111 @@ func TestEventTickMatchesDenseFaulted(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// atLeastTwoProcs raises GOMAXPROCS to 2 for the rest of the test when it is
+// lower, so Tick's parallel evaluation runs even on a one-CPU host.
+func atLeastTwoProcs(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 2 {
+		runtime.GOMAXPROCS(2)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// goesParallel reports whether ch's next Tick evaluates enough neurons to
+// split the evaluation across goroutines (given GOMAXPROCS > 1).
+func goesParallel(ch *Chip) bool {
+	ch.ensurePlans()
+	return ch.buildEvalList() >= parMinNeurons
+}
+
+// driveMany injects a seed-deterministic spike pattern across a many-core
+// chip: one to four spikes on about one core in four, with occasional quiet
+// ticks.
+func driveMany(ch *Chip, src *rng.PCG32) {
+	if rng.Bernoulli(src, 0.2) {
+		return // quiet tick
+	}
+	for i := 0; i < ch.NumCores(); i++ {
+		if rng.Bernoulli(src, 0.25) {
+			for k := 0; k < 1+rng.Intn(src, 4); k++ {
+				ch.Inject(i, rng.Intn(src, ch.Core(i).Axons))
+			}
+		}
+	}
+}
+
+// TestEventTickMatchesDenseManyCore extends the event-vs-dense contract to
+// chips large enough for Tick to split core evaluation across goroutines:
+// 96-128 randomized cores of fractional, integer and persistent neurons,
+// routed so that cores of different chunks deliver into shared destinations,
+// with a NoC observer and each output fault family, compared with TickDense
+// after every tick on every observable.
+func TestEventTickMatchesDenseManyCore(t *testing.T) {
+	atLeastTwoProcs(t)
+	for n, model := range []string{"none", "silent", "forcefire", "drop", "mixed"} {
+		t.Run(model, func(t *testing.T) {
+			seed := uint64(12000 + n*53)
+			event, dense := buildShapedChip(seed, shapeMany), buildShapedChip(seed, shapeMany)
+			for _, ch := range []*Chip{event, dense} {
+				attachTestNoC(t, ch, seed)
+				if model != "none" {
+					applyFaultModel(t, ch, model, rng.NewPCG32(seed, 508))
+				}
+			}
+			srcE, srcD := rng.NewPCG32(seed, 205), rng.NewPCG32(seed, 205)
+			parallel := 0
+			for tick := 0; tick < 40; tick++ {
+				driveMany(event, srcE)
+				driveMany(dense, srcD)
+				if goesParallel(event) {
+					parallel++
+				}
+				event.Tick()
+				dense.TickDense()
+				checkChipsEqual(t, tick, event, dense)
+				checkNoCEqual(t, tick, event, dense)
+			}
+			if parallel < 30 {
+				t.Fatalf("only %d of 40 ticks reached the parallel path", parallel)
+			}
+		})
+	}
+}
+
+// TestChipReseedTickAllocsParallel is TestChipReseedTickAllocs on a many-core
+// chip whose ticks split core evaluation across goroutines: the parallel
+// path allocates nothing either.
+func TestChipReseedTickAllocsParallel(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("GOMAXPROCS is 1: Tick never goes parallel")
+	}
+	const seed = 78
+	ch := buildShapedChip(seed, shapeMany)
+	attachTestNoC(t, ch, seed)
+	src := rng.NewPCG32(seed, 9)
+	// A spawned worker reuses a dead goroutine from the runtime's free
+	// lists, which fill per P (up to 64 each) before they are shared: warm
+	// up long enough that no measured tick must allocate a new one.
+	for i := 0; i < 500; i++ {
+		driveMany(ch, src)
+		ch.Tick()
+	}
+	parallel := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		ch.Reseed(uint64(src.Uint32()))
+		driveMany(ch, src)
+		if goesParallel(ch) {
+			parallel++
+		}
+		ch.Tick()
+	})
+	if allocs != 0 {
+		t.Fatalf("Reseed+Tick allocates %v times per run, want 0", allocs)
+	}
+	if parallel < 50 {
+		t.Fatalf("only %d of 101 ticks reached the parallel path", parallel)
 	}
 }
 
