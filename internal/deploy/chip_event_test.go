@@ -243,6 +243,20 @@ func TestChipEnsembleFrameGOMAXPROCS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// parMinNeurons is Chip.Tick's parallel threshold (truenorth's
+	// parMinNeurons, kept in step by TestParMinNeurons there). The
+	// fractional biases give neurons a stochastic leak, so ticks evaluate
+	// close to every neuron on the chip; twice the threshold leaves room
+	// for the few whose leak quantizes to an integer. Below it, the
+	// GOMAXPROCS 2 frames would run the serial loop too.
+	const parMinNeurons = 4096
+	neurons := 0
+	for i := 0; i < cn.Chip.NumCores(); i++ {
+		neurons += cn.Chip.Core(i).Neurons
+	}
+	if neurons < 2*parMinNeurons {
+		t.Fatalf("ensemble has %d neurons, want at least %d to reach the parallel tick", neurons, 2*parMinNeurons)
+	}
 	type result struct {
 		Counts                   []int64
 		Stats                    truenorth.Stats

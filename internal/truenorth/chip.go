@@ -308,9 +308,12 @@ func (ch *Chip) Tick() {
 }
 
 // parMinNeurons is the number of neuron evaluations a tick must carry before
-// Tick splits it across goroutines: below it, waking a second goroutine costs
-// more than it saves. Per-copy predictor chips (4 cores) and the exact test
-// chips stay well under it and take the serial loop.
+// Tick may split it across goroutines: below it, waking a second goroutine
+// costs more than it saves. A bench-1 or bench-4 predictor copy (4 cores of
+// 256 neurons) and the exact test chips stay under it and take the serial loop;
+// a bench-2 copy (16 cores, 4096 neurons) reaches it on ticks that evaluate
+// every core, and bench-3 (62 cores) and bench-5 (25 cores) copies exceed
+// it, as does any shared-chip ensemble of several copies.
 const parMinNeurons = 4096
 
 // coreEval is one core's result of a tick: its post-fault spike count and its
@@ -365,18 +368,25 @@ func (ch *Chip) evalCore(i int) {
 
 // parEval is the join state of a parallel tick evaluation. It lives on the
 // chip, with its worker function bound once, so a parallel tick allocates
-// nothing.
+// nothing itself; only the runtime may, now and then, while it parks and
+// wakes goroutines.
 type parEval struct {
 	ch     *Chip
 	run    func() // p.work, bound once
 	chunks int
 	next   atomic.Int32 // next chunk to claim
 	wg     sync.WaitGroup
+	ticks  int // parallel evaluations so far, for tests
 }
 
 // chunksPerWorker is how many contiguous chunks of the evaluation list each
-// goroutine takes on average: more than one, so a goroutine that starts late
-// leaves its share to the others.
+// goroutine takes on average. The list puts dirty cores (full crossbar pass)
+// before idle-active ones (leak-only pass), so equal slices by core count
+// carry unequal work; claiming many small chunks evens it out and lets the
+// caller take the share of a goroutine that starts late. On the 64-copy
+// 256-core BenchmarkChipEnsembleFrame at 2 CPUs, 16 chunks per worker ran
+// 4.4-5.4 ms per frame against 5.0-6.3 ms for one chunk per worker (6 of 6
+// alternations).
 const chunksPerWorker = 16
 
 // evalParallel evaluates evalList across GOMAXPROCS goroutines, the caller
@@ -384,8 +394,8 @@ const chunksPerWorker = 16
 // false, evaluating nothing, when GOMAXPROCS is 1 or the list holds a single
 // core.
 func (ch *Chip) evalParallel() bool {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 || len(ch.evalList) < 2 {
+	workers := min(runtime.GOMAXPROCS(0), len(ch.evalList))
+	if workers < 2 {
 		return false
 	}
 	p := ch.par
@@ -394,8 +404,8 @@ func (ch *Chip) evalParallel() bool {
 		p.run = p.work
 		ch.par = p
 	}
+	p.ticks++
 	p.chunks = min(workers*chunksPerWorker, len(ch.evalList))
-	workers = min(workers, p.chunks)
 	p.next.Store(0)
 	p.wg.Add(workers - 1)
 	for k := 1; k < workers; k++ {
