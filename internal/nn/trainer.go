@@ -244,29 +244,12 @@ type updateStep struct {
 // is updated independently and folds the shard gradients in fixed
 // ascending shard order, so neither the split nor the scheduling changes a
 // bit: the result equals merging the buffers first, in one pass over
-// gradient memory instead of two. The concrete-penalty dispatch
-// devirtualizes the per-weight Grad call of the known penalties while
-// keeping the update arithmetic identical.
+// gradient memory instead of two.
 func applyUpdate(pool *pool, ups []coreUpdate, st updateStep, pen Penalty) {
-	switch p := pen.(type) {
-	case NonePenalty:
-		runUpdate(pool, ups, st, p)
-	case L1Penalty:
-		runUpdate(pool, ups, st, p)
-	case L2Penalty:
-		runUpdate(pool, ups, st, p)
-	case BiasedPenalty:
-		runUpdate(pool, ups, st, p)
-	default:
-		runUpdate(pool, ups, st, pen)
-	}
-}
-
-func runUpdate[P Penalty](pool *pool, ups []coreUpdate, st updateStep, pen P) {
 	pool.run(len(ups), func(t int) { updateCore(&ups[t], st, pen) })
 }
 
-func updateCore[P Penalty](u *coreUpdate, st updateStep, pen P) {
+func updateCore(u *coreUpdate, st updateStep, pen Penalty) {
 	gw, gb := u.gw[:st.active], u.gb[:st.active]
 	w, vw := u.c.W.Data, u.v.W.Data
 	for i := range w {

@@ -169,3 +169,54 @@ func BenchmarkServeClassifyConf(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkClassifyDecode measures the worker's decode of a perfbench-shaped
+// classify body (one 784-pixel synthetic digit): the single-pass scan the
+// handler takes, against the encoding/json reference it falls back to.
+func BenchmarkClassifyDecode(b *testing.B) {
+	body := digitBody(b, 1)
+	b.Run("scan", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := decodeClassify(body, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := decodeClassifyJSON(body, nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkRouterShardKey measures the router's (model, seed) decode of the
+// same body: the scan that skips converting the pixels, against the
+// json.Unmarshal into shardFields it falls back to.
+func BenchmarkRouterShardKey(b *testing.B) {
+	body := digitBody(b, 1)
+	b.Run("scan", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := shardKeyOf(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("json", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		b.ReportAllocs()
+		for b.Loop() {
+			var key shardFields
+			if err := json.Unmarshal(body, &key); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

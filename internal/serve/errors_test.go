@@ -2,11 +2,14 @@ package serve
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/nn"
 )
 
 // errorServer builds a server with tight request caps so limit violations are
@@ -43,6 +46,8 @@ func TestClassifyMalformedPayloads(t *testing.T) {
 		{"not json", http.MethodPost, "/v1/classify", "classify please", http.StatusBadRequest, "bad request body"},
 		{"unknown field", http.MethodPost, "/v1/classify", `{"model":"alpha","seeed":1,"input":[0.5]}`, http.StatusBadRequest, "bad request body"},
 		{"wrong input type", http.MethodPost, "/v1/classify", `{"model":"alpha","input":"0.5"}`, http.StatusBadRequest, "bad request body"},
+		{"trailing data", http.MethodPost, "/v1/classify", `{"model":"alpha","seed":1,"input":[0.5]} trailing`, http.StatusBadRequest, "invalid character 't' after top-level value"},
+		{"second value", http.MethodPost, "/v1/classify", `{"model":"alpha","seed":1,"input":[0.5]} {}`, http.StatusBadRequest, "invalid character '{' after top-level value"},
 		{"negative seed", http.MethodPost, "/v1/classify", `{"model":"alpha","seed":-1,"input":[0.5]}`, http.StatusBadRequest, "bad request body"},
 		{"unknown model", http.MethodPost, "/v1/classify", `{"model":"nope","input":[0.5]}`, http.StatusNotFound, "unknown model"},
 		{"missing model", http.MethodPost, "/v1/classify", `{"input":[0.5]}`, http.StatusNotFound, "unknown model"},
@@ -85,6 +90,56 @@ func TestClassifyMalformedPayloads(t *testing.T) {
 	resp, out, raw := postClassify(t, ts.Client(), ts.URL, ClassifyRequest{Model: "alpha", Seed: 1, Input: []float64{0.5, 1, 0, 0.25}})
 	if resp.StatusCode != http.StatusOK || len(out.Results) != 1 {
 		t.Fatalf("valid request after error storm: status %d body %s", resp.StatusCode, raw)
+	}
+}
+
+// TestWorkerRouterRejectIdentically: a body answers the same status through
+// the router as from a worker directly — malformed bodies the router rejects
+// itself included — and data after the JSON value is refused by both with
+// the same message.
+func TestWorkerRouterRejectIdentically(t *testing.T) {
+	f := newFleet(t, 1, map[string]*nn.Network{"alpha": testNet(t, 1, 8, 4, 2)},
+		Config{MaxBatch: 4, MaxSPF: 4, MaxItems: 3}, RouterConfig{})
+	oversize := `{"model":"alpha","seed":1,"input":[0.5]}` + strings.Repeat(" ", 16<<20)
+	cases := []struct {
+		name     string
+		body     string
+		sameBody bool // the router relays the worker's reply or words its own error alike
+	}{
+		{"valid", `{"model":"alpha","seed":1,"input":[0.5]}`, true},
+		{"trailing whitespace", "{\"model\":\"alpha\",\"seed\":1,\"input\":[0.5]} \r\n\t", true},
+		{"trailing data", `{"model":"alpha","seed":1,"input":[0.5]} trailing`, true},
+		{"second value", `{"model":"alpha","seed":1,"input":[0.5]} {}`, true},
+		{"unknown field", `{"model":"alpha","seed":1,"input":[0.5],"extra":1}`, true},
+		{"noncanonical keys", `{"Model":"alpha","SEED":1,"input":[0.5]}`, true},
+		{"truncated", `{"model":"alpha"`, false},
+		{"not json", "classify please", false},
+		{"oversize", oversize, false},
+	}
+	post := func(url, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(url+"/v1/classify", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(raw)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ws, wb := post(f.backends[0].URL, tc.body)
+			rs, rb := post(f.front.URL, tc.body)
+			if ws != rs {
+				t.Fatalf("worker %d %s, router %d %s", ws, wb, rs, rb)
+			}
+			if tc.sameBody && wb != rb {
+				t.Fatalf("worker body %s, router body %s", wb, rb)
+			}
+		})
 	}
 }
 

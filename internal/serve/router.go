@@ -518,9 +518,9 @@ func (rt *Router) probe(url string) bool {
 }
 
 // shardFields is the minimal slice of a classify payload the router decodes:
-// just enough to compute the shard key. The body forwards verbatim — the
-// replica performs full validation, so router and single-process tnserve
-// reject malformed requests identically.
+// just enough to compute the shard key (shardKeyOf). The body forwards
+// verbatim — the replica performs full validation, so router and
+// single-process tnserve reject malformed requests identically.
 type shardFields struct {
 	Model string `json:"model"`
 	Seed  uint64 `json:"seed"`
@@ -532,13 +532,13 @@ func (rt *Router) handleClassify(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 16<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read request body: "+err.Error())
 		return
 	}
-	var key shardFields
-	if err := json.Unmarshal(body, &key); err != nil {
+	key, err := shardKeyOf(body)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}

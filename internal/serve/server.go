@@ -361,10 +361,9 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 16<<20))
-	dec.DisallowUnknownFields()
-	var req ClassifyRequest
-	if err := dec.Decode(&req); err != nil {
+	body, readErr := readBody(w, r)
+	req, err := decodeClassify(body, readErr)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return
 	}
