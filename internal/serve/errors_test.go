@@ -113,7 +113,7 @@ func TestWorkerRouterRejectIdentically(t *testing.T) {
 		{"unknown field", `{"model":"alpha","seed":1,"input":[0.5],"extra":1}`, true},
 		{"noncanonical keys", `{"Model":"alpha","SEED":1,"input":[0.5]}`, true},
 		{"truncated", `{"model":"alpha"`, false},
-		{"not json", "classify please", false},
+		{"not json", "classify please", true},
 		{"oversize", oversize, false},
 	}
 	post := func(url, body string) (int, string) {
