@@ -179,7 +179,7 @@ func BenchmarkClassifyDecode(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := decodeClassify(body, nil); err != nil {
+			if _, err := decodeClassify(body); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -188,7 +188,7 @@ func BenchmarkClassifyDecode(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		b.ReportAllocs()
 		for b.Loop() {
-			if _, err := decodeClassifyJSON(body, nil); err != nil {
+			if _, err := decodeClassifyJSON(body); err != nil {
 				b.Fatal(err)
 			}
 		}

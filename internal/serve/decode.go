@@ -28,44 +28,30 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	return io.ReadAll(http.MaxBytesReader(w, r.Body, maxBody))
 }
 
-// decodeClassify decodes a classify body read by readBody; readErr is the
-// error that ended the read, if any.
-func decodeClassify(body []byte, readErr error) (ClassifyRequest, error) {
+// decodeClassify decodes a classify body read whole by readBody.
+func decodeClassify(body []byte) (ClassifyRequest, error) {
 	var req ClassifyRequest
-	if readErr == nil && scanClassify(body, &req, true) {
+	if scanClassify(body, &req, true) {
 		return req, nil
 	}
-	return decodeClassifyJSON(body, readErr)
+	return decodeClassifyJSON(body)
 }
 
 // decodeClassifyJSON is the encoding/json reference decode of a classify
-// body: a strict Decoder (unknown fields are errors) over the bytes read,
-// followed by readErr, so a failed read surfaces where the stream broke.
-// Data after the one JSON value is an error worded as json.Unmarshal words
-// it, which is how the router rejects the same body.
-func decodeClassifyJSON(body []byte, readErr error) (ClassifyRequest, error) {
+// body: a strict Decoder (unknown fields are errors) over a body that is
+// one JSON value. A body that is not — malformed, truncated, empty, or
+// followed by data — gets json.Unmarshal's syntax error, which is how the
+// router words it.
+func decodeClassifyJSON(body []byte) (ClassifyRequest, error) {
 	var req ClassifyRequest
-	src := io.Reader(bytes.NewReader(body))
-	if readErr != nil {
-		src = io.MultiReader(src, errReader{readErr})
-	}
-	dec := json.NewDecoder(src)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return req, err
-	}
-	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
-		// The body is not one JSON value, so Unmarshal fails on the first
-		// byte after it.
+	if !json.Valid(body) {
 		return req, json.Unmarshal(body, new(json.RawMessage))
 	}
-	return req, readErr
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
 }
-
-// errReader fails every read with err.
-type errReader struct{ err error }
-
-func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // shardKeyOf decodes a classify body's (model, seed) shard key and checks
 // that the whole body is valid JSON, as json.Unmarshal into shardFields does.

@@ -4,10 +4,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/rng"
 	"repro/internal/synth/digits"
@@ -89,7 +93,7 @@ func TestClassifyDecodeFastPath(t *testing.T) {
 	}
 	bodies = append(bodies, digitBody(t, 1), digitBody(t, 16), []byte(" \r\n{ } \t\n"))
 	for _, body := range bodies {
-		want, err := decodeClassifyJSON(body, nil)
+		want, err := decodeClassifyJSON(body)
 		if err != nil {
 			t.Fatalf("reference rejects %.80s: %v", body, err)
 		}
@@ -135,14 +139,15 @@ func TestClassifyDecodeFallback(t *testing.T) {
 		{body: `{"model":"alpha","input":[0.5]} trailing`, wantErr: "invalid character 't' after top-level value"},
 		{body: `{"model":"alpha","input":[0.5]}{}`, wantErr: "invalid character '{' after top-level value"},
 		{body: `null`, want: ClassifyRequest{}},
-		{body: ``, wantErr: "EOF"},
+		{body: ``, wantErr: "unexpected end of JSON input"},
+		{body: `{"model":"alpha"`, wantErr: "unexpected end of JSON input"},
 	}
 	for _, tc := range cases {
 		var scanned ClassifyRequest
 		if scanClassify([]byte(tc.body), &scanned, true) {
 			t.Errorf("fast path accepted %s", tc.body)
 		}
-		got, err := decodeClassify([]byte(tc.body), nil)
+		got, err := decodeClassify([]byte(tc.body))
 		switch {
 		case tc.wantErr != "":
 			if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -156,23 +161,27 @@ func TestClassifyDecodeFallback(t *testing.T) {
 	}
 }
 
-// TestClassifyDecodeReadError: a failed read surfaces where the stream
-// broke — after a complete body as well as inside a truncated one — and a
-// syntax error in the bytes read before it comes first.
+// TestClassifyDecodeReadError: a worker whose body read fails answers 400
+// "read request body: ..." before it decodes anything — after a complete
+// request, inside a truncated one, or after data following the value — as
+// the router does.
 func TestClassifyDecodeReadError(t *testing.T) {
+	srv := errorServer(t)
+	defer srv.Close()
 	errRead := errors.New("read failed")
 	for _, body := range []string{
 		`{"model":"alpha","input":[0.5]}`,
 		`{"model":"alpha","input":[0.5]}   `,
 		`{"model":"al`,
+		`{"model":"alpha","input":[0.5]} x`,
 	} {
-		if _, err := decodeClassify([]byte(body), errRead); !errors.Is(err, errRead) {
-			t.Errorf("%s: error %v, want the read error", body, err)
+		req := httptest.NewRequest(http.MethodPost, "/v1/classify",
+			io.MultiReader(strings.NewReader(body), iotest.ErrReader(errRead)))
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "read request body: read failed") {
+			t.Errorf("%s: %d %s, want 400 with the read error", body, rec.Code, rec.Body.Bytes())
 		}
-	}
-	_, err := decodeClassify([]byte(`{"model":"alpha","input":[0.5]} x`), errRead)
-	if err == nil || !strings.Contains(err.Error(), "after top-level value") {
-		t.Errorf("trailing data before a read error: %v, want the syntax error", err)
 	}
 }
 
@@ -212,7 +221,7 @@ func FuzzClassifyDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var fast ClassifyRequest
 		if scanClassify(body, &fast, true) {
-			ref, err := decodeClassifyJSON(body, nil)
+			ref, err := decodeClassifyJSON(body)
 			if err != nil {
 				t.Fatalf("fast path accepted %q, encoding/json rejects it: %v", body, err)
 			}

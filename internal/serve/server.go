@@ -361,8 +361,12 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	body, readErr := readBody(w, r)
-	req, err := decodeClassify(body, readErr)
+	body, err := readBody(w, r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "read request body: "+err.Error())
+		return
+	}
+	req, err := decodeClassify(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 		return

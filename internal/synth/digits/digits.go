@@ -14,6 +14,8 @@ package digits
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/dataset"
 	"repro/internal/rng"
@@ -196,12 +198,56 @@ func generateSplit(name string, n int, cfg Config, stream uint64) *dataset.Datas
 		X:          make([][]float64, n),
 		Y:          make([]int, n),
 	}
-	for i := 0; i < n; i++ {
-		label := i % 10
-		d.X[i] = Render(src, label, cfg.Jitter, cfg.Noise)
-		d.Y[i] = label
+	// Digits render in contiguous chunks, one per CPU. Render draws a fixed
+	// number of words for a given label and noise setting, so each chunk
+	// starts from a copy of src moved past the words of the digits before
+	// it, and the corpus is bit-identical to a serial render.
+	words := wordsPerLabel(cfg.Jitter, cfg.Noise)
+	procs := runtime.GOMAXPROCS(0)
+	chunk := (n + procs - 1) / procs
+	var wg sync.WaitGroup
+	var skip uint64
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		part := *src
+		part.Advance(skip)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := lo; i < hi; i++ {
+				label := i % 10
+				d.X[i] = Render(&part, label, cfg.Jitter, cfg.Noise)
+				d.Y[i] = label
+			}
+		}()
+		for i := lo; i < hi; i++ {
+			skip += words[i%10]
+		}
 	}
+	wg.Wait()
+	src.Advance(skip)
 	return d.Shuffled(src.Split(99))
+}
+
+// wordsPerLabel counts the generator words one Render of each label draws.
+func wordsPerLabel(jitter, noise float64) (words [10]uint64) {
+	for label := range words {
+		c := &countingSource{src: rng.NewPCG32(0, 0)}
+		Render(c, label, jitter, noise)
+		words[label] = c.n
+	}
+	return words
+}
+
+// countingSource counts the words drawn from src.
+type countingSource struct {
+	src rng.Source
+	n   uint64
+}
+
+func (c *countingSource) Uint32() uint32 {
+	c.n++
+	return c.src.Uint32()
 }
 
 // ASCII renders an image as a coarse ASCII art string, one rune per pixel.

@@ -2,9 +2,11 @@ package digits
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/rng"
 )
 
@@ -194,5 +196,45 @@ func BenchmarkRender(b *testing.B) {
 	src := rng.NewPCG32(1, 1)
 	for i := 0; i < b.N; i++ {
 		Render(src, i%10, 1, 0.05)
+	}
+}
+
+// serialSplit is the one-CPU generateSplit: every digit rendered in order
+// from the split's generator.
+func serialSplit(name string, n int, cfg Config, stream uint64) *dataset.Dataset {
+	src := rng.NewPCG32(cfg.Seed, stream)
+	d := &dataset.Dataset{Name: name, FeatDim: Size * Size, NumClasses: 10, Height: Size, Width: Size,
+		X: make([][]float64, n), Y: make([]int, n)}
+	for i := 0; i < n; i++ {
+		d.X[i] = Render(src, i%10, cfg.Jitter, cfg.Noise)
+		d.Y[i] = i % 10
+	}
+	return d.Shuffled(src.Split(99))
+}
+
+// TestGenerateMatchesSerialRender: rendering a split in parallel chunks
+// yields the serial corpus bit for bit, with and without speckle noise, at
+// GOMAXPROCS 1 and 2, for split sizes that do and do not divide evenly.
+func TestGenerateMatchesSerialRender(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, noise := range []float64{0, 0.06} {
+			for _, n := range []int{0, 1, 7, 53} {
+				cfg := Config{Seed: 5, Jitter: 1, Noise: noise}
+				got := generateSplit("s", n, cfg, 3)
+				want := serialSplit("s", n, cfg, 3)
+				for i := range want.X {
+					if got.Y[i] != want.Y[i] {
+						t.Fatalf("procs %d noise %v n %d: label %d = %d, serial %d", procs, noise, n, i, got.Y[i], want.Y[i])
+					}
+					for j, v := range want.X[i] {
+						if math.Float64bits(got.X[i][j]) != math.Float64bits(v) {
+							t.Fatalf("procs %d noise %v n %d: digit %d pixel %d = %v, serial %v", procs, noise, n, i, j, got.X[i][j], v)
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -360,8 +360,11 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // bitwise equality. Covers dense and sparse inputs (both sides of the
 // compaction threshold), zero weights, strided output views, sigmaConst,
 // muOffset, zero sigma floors, batch sizes 0/1/n, odd and even neuron
-// counts, wiring maps with a shared input position, and nil scratch.
-func TestSpikeKernelsMatchReference(t *testing.T) {
+// counts, wiring maps with a shared input position, and nil scratch. It
+// runs once on the vector kernels and once on the Go kernels.
+func TestSpikeKernelsMatchReference(t *testing.T) { onBothPaths(t, testSpikeKernelsMatchReference) }
+
+func testSpikeKernelsMatchReference(t *testing.T) {
 	src := rng.NewPCG32(77, 3)
 	for trial := 0; trial < 60; trial++ {
 		batch := rng.Intn(src, 9)           // 0..8
