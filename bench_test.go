@@ -324,7 +324,7 @@ func BenchmarkEngineClassifyFast(b *testing.B) {
 // BenchmarkEngineClassifyConf measures confidence-gated adaptive ensemble
 // classification on the bench-1 biased model (16 sampled copies, 2 spf): the
 // exact full-budget vote against early-exit thresholds, reporting the mean
-// copies each item actually evaluated (BENCH_6.json). Speedup comes from the
+// copies each item actually evaluated. Speedup comes from the
 // gate alone — both sub-benchmarks share the ensemble, engine, and items.
 func BenchmarkEngineClassifyConf(b *testing.B) {
 	r := runner(b)
@@ -421,7 +421,7 @@ func chipFrameFixture(b *testing.B) (*deploy.ChipNet, []float64) {
 
 // BenchmarkChipDeployFrame measures one cycle-accurate classification frame
 // on the lowered bench-1 chip (4 cores, 4 spf) under the event-driven
-// simulator — the chip-path sibling of BenchmarkDeployFrame (BENCH_5.json).
+// simulator — the chip-path sibling of BenchmarkDeployFrame.
 func BenchmarkChipDeployFrame(b *testing.B) {
 	cn, x := chipFrameFixture(b)
 	src := rng.NewPCG32(2, 2)

@@ -4,9 +4,10 @@
 // The churn plan is what turns a load run into a rolling-restart rehearsal:
 // drain a replica at t=2s, snapshot it at t=3s, restore it at t=6s — and
 // the report shows what the tail did while the fleet changed under load.
-package serve
+package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -15,10 +16,12 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"repro/internal/serve"
 )
 
-// ChurnOp is one scheduled fleet operation.
-type ChurnOp struct {
+// churnOp is one scheduled fleet operation.
+type churnOp struct {
 	// At is the offset from the start of the churn run (which tnload aligns
 	// with the start of the load run, warmup included).
 	At time.Duration
@@ -33,7 +36,7 @@ type ChurnOp struct {
 	Path string
 }
 
-// ParseChurnPlan parses a churn plan string: ';'-separated operations, each
+// parseChurnPlan parses a churn plan string: ';'-separated operations, each
 // "OFFSET OP URL [PATH]" with whitespace-separated fields, e.g.
 //
 //	2s join http://10.0.0.9:8083; 5s drain http://10.0.0.7:8081;
@@ -41,8 +44,8 @@ type ChurnOp struct {
 //	9s restore http://10.0.0.7:8081
 //
 // Operations are returned sorted by offset.
-func ParseChurnPlan(plan string) ([]ChurnOp, error) {
-	var ops []ChurnOp
+func parseChurnPlan(plan string) ([]churnOp, error) {
+	var ops []churnOp
 	for _, part := range strings.Split(plan, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -50,20 +53,20 @@ func ParseChurnPlan(plan string) ([]ChurnOp, error) {
 		}
 		fields := strings.Fields(part)
 		if len(fields) < 3 {
-			return nil, fmt.Errorf("serve: churn op %q: want \"OFFSET OP URL [PATH]\"", part)
+			return nil, fmt.Errorf("churn op %q: want \"OFFSET OP URL [PATH]\"", part)
 		}
 		at, err := time.ParseDuration(fields[0])
 		if err != nil {
-			return nil, fmt.Errorf("serve: churn op %q: bad offset: %w", part, err)
+			return nil, fmt.Errorf("churn op %q: bad offset: %w", part, err)
 		}
 		if at < 0 {
-			return nil, fmt.Errorf("serve: churn op %q: negative offset", part)
+			return nil, fmt.Errorf("churn op %q: negative offset", part)
 		}
-		op := ChurnOp{At: at, Op: fields[1], URL: fields[2]}
+		op := churnOp{At: at, Op: fields[1], URL: fields[2]}
 		switch op.Op {
 		case "join", "leave", "drain", "restore":
 			if len(fields) != 3 {
-				return nil, fmt.Errorf("serve: churn op %q: %s takes exactly a URL", part, op.Op)
+				return nil, fmt.Errorf("churn op %q: %s takes exactly a URL", part, op.Op)
 			}
 		case "snapshot":
 			switch len(fields) {
@@ -71,38 +74,38 @@ func ParseChurnPlan(plan string) ([]ChurnOp, error) {
 			case 4:
 				op.Path = fields[3]
 			default:
-				return nil, fmt.Errorf("serve: churn op %q: snapshot takes a URL and an optional path", part)
+				return nil, fmt.Errorf("churn op %q: snapshot takes a URL and an optional path", part)
 			}
 		default:
-			return nil, fmt.Errorf("serve: churn op %q: unknown op %q (want join, leave, drain, restore, or snapshot)", part, op.Op)
+			return nil, fmt.Errorf("churn op %q: unknown op %q (want join, leave, drain, restore, or snapshot)", part, op.Op)
 		}
 		ops = append(ops, op)
 	}
 	if len(ops) == 0 {
-		return nil, fmt.Errorf("serve: empty churn plan")
+		return nil, fmt.Errorf("empty churn plan")
 	}
 	sort.SliceStable(ops, func(i, j int) bool { return ops[i].At < ops[j].At })
 	return ops, nil
 }
 
-// ChurnResult is the outcome of one executed churn operation.
-type ChurnResult struct {
-	Op     ChurnOp
+// churnResult is the outcome of one executed churn operation.
+type churnResult struct {
+	Op     churnOp
 	Status int   // HTTP status of the admin call (0 on transport error)
 	Err    error // non-nil when the operation did not succeed
 }
 
-// RunChurn executes a churn plan against routerURL, sleeping each operation
+// runChurn executes a churn plan against routerURL, sleeping each operation
 // to its offset from the call time. Operations run strictly in order; an
 // error is recorded and execution continues — an operator script wants the
 // full picture, not the first failure. Context cancellation marks the
 // remaining operations as canceled.
-func RunChurn(ctx context.Context, client *http.Client, routerURL string, ops []ChurnOp) []ChurnResult {
+func runChurn(ctx context.Context, client *http.Client, routerURL string, ops []churnOp) []churnResult {
 	if client == nil {
 		client = http.DefaultClient
 	}
 	start := time.Now()
-	results := make([]ChurnResult, 0, len(ops))
+	results := make([]churnResult, 0, len(ops))
 	for i, op := range ops {
 		if wait := time.Until(start.Add(op.At)); wait > 0 {
 			select {
@@ -112,7 +115,7 @@ func RunChurn(ctx context.Context, client *http.Client, routerURL string, ops []
 		}
 		if ctx.Err() != nil {
 			for _, rest := range ops[i:] {
-				results = append(results, ChurnResult{Op: rest, Err: ctx.Err()})
+				results = append(results, churnResult{Op: rest, Err: ctx.Err()})
 			}
 			return results
 		}
@@ -121,23 +124,23 @@ func RunChurn(ctx context.Context, client *http.Client, routerURL string, ops []
 	return results
 }
 
-func execChurnOp(ctx context.Context, client *http.Client, routerURL string, op ChurnOp) ChurnResult {
-	res := ChurnResult{Op: op}
+func execChurnOp(ctx context.Context, client *http.Client, routerURL string, op churnOp) churnResult {
+	res := churnResult{Op: op}
 	var target string
 	var payload any
 	if op.Op == "snapshot" {
-		target = trimSlash(op.URL) + "/admin/snapshot"
-		payload = snapshotRequest{Path: op.Path}
+		target = strings.TrimRight(op.URL, "/") + "/admin/snapshot"
+		payload = serve.SnapshotRequest{Path: op.Path}
 	} else {
-		target = trimSlash(routerURL) + "/admin/backends"
-		payload = backendsOp{Op: op.Op, URL: op.URL}
+		target = strings.TrimRight(routerURL, "/") + "/admin/backends"
+		payload = serve.BackendsOp{Op: op.Op, URL: op.URL}
 	}
 	raw, err := json.Marshal(payload)
 	if err != nil {
 		res.Err = err
 		return res
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, strings.NewReader(string(raw)))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, target, bytes.NewReader(raw))
 	if err != nil {
 		res.Err = err
 		return res

@@ -1,4 +1,4 @@
-// Open-loop load generation against the serving tier (cmd/tnload's engine).
+// Open-loop load generation against the serving tier.
 //
 // The generator is open-loop in the queueing-theory sense: request arrivals
 // follow a Poisson process at the configured rate and are launched on
@@ -7,7 +7,7 @@
 // time), an open-loop generator does not slow down when the server does —
 // which is exactly what exposes the latency collapse and the admission
 // controller's shedding behavior near saturation.
-package serve
+package main
 
 import (
 	"bytes"
@@ -18,22 +18,24 @@ import (
 	"math"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/rng"
+	"repro/internal/serve"
 )
 
-// LoadModel is one target model of a load run: its name and input dimension
+// loadModel is one target model of a load run: its name and input dimension
 // (discovered from /v1/models).
-type LoadModel struct {
+type loadModel struct {
 	Name     string
 	InputDim int
 }
 
-// LoadConfig drives one open-loop load run.
-type LoadConfig struct {
+// loadConfig drives one open-loop load run.
+type loadConfig struct {
 	// URL is the base URL of the router or single server under test.
 	URL string
 	// Rate is the target arrival rate in requests/second.
@@ -44,7 +46,7 @@ type LoadConfig struct {
 	// recorded, letting sample caches and connection pools fill.
 	Warmup time.Duration
 	// Models cycle round-robin across requests.
-	Models []LoadModel
+	Models []loadModel
 	// SPF is the per-item spikes-per-frame (default 4).
 	SPF int
 	// Items is the number of inputs per request (default 1).
@@ -73,7 +75,7 @@ type LoadConfig struct {
 	Client *http.Client
 }
 
-func (c LoadConfig) withDefaults() LoadConfig {
+func (c loadConfig) withDefaults() loadConfig {
 	if c.SPF <= 0 {
 		c.SPF = 4
 	}
@@ -105,17 +107,19 @@ func (c LoadConfig) withDefaults() LoadConfig {
 	return c
 }
 
-// LoadReport is the outcome of one load run. Latency quantiles cover
+// loadReport is the outcome of one load run. Latency quantiles cover
 // successful (200) requests only; shed (429) turnaround is near-instant and
 // would flatter the tail if mixed in.
-type LoadReport struct {
+type loadReport struct {
 	TargetRate float64 `json:"target_rate_rps"`
-	DurationS  float64 `json:"duration_s"`
-	Requests   int64   `json:"requests"`
-	OK         int64   `json:"ok"`
-	Shed       int64   `json:"shed_429"`
-	Errors     int64   `json:"errors"`
-	Overflow   int64   `json:"overflow_dropped"`
+	// DurationS is the measured window actually run: Duration, or less
+	// when the run was cancelled early.
+	DurationS float64 `json:"duration_s"`
+	Requests  int64   `json:"requests"`
+	OK        int64   `json:"ok"`
+	Shed      int64   `json:"shed_429"`
+	Errors    int64   `json:"errors"`
+	Overflow  int64   `json:"overflow_dropped"`
 	// AchievedRPS counts completed 200s per measured second — the goodput.
 	AchievedRPS float64 `json:"achieved_rps"`
 	ShedRate    float64 `json:"shed_rate"`
@@ -130,26 +134,22 @@ type LoadReport struct {
 	ReplicaRequests map[string]int64 `json:"replica_requests,omitempty"`
 }
 
-// loadBody is one precomputed request body. Bodies are marshaled once up
-// front — the generator's per-arrival work is a slice index and an HTTP
-// POST, so the measured latency is the server's, not the client's encoder.
-type loadBody struct {
-	raw []byte
-}
-
 // buildBodies precomputes the request mix: for every (model, seed) pair an
-// exact body and, when ApproxFrac > 0, an ensemble body. Inputs derive
-// deterministically from (model, seed) through the generator's PCG32, so two
-// runs with one GenSeed replay byte-identical traffic.
-func buildBodies(cfg LoadConfig) ([][]loadBody, [][]loadBody, error) {
-	exact := make([][]loadBody, len(cfg.Models))
-	approx := make([][]loadBody, len(cfg.Models))
+// exact body and, when ApproxFrac > 0, an ensemble body. Bodies are
+// marshaled once up front — the generator's per-arrival work is a slice
+// index and an HTTP POST, so the measured latency is the server's, not the
+// client's encoder. Inputs derive deterministically from (model, seed)
+// through the generator's PCG32, so two runs with one GenSeed replay
+// byte-identical traffic.
+func buildBodies(cfg loadConfig) ([][][]byte, [][][]byte, error) {
+	exact := make([][][]byte, len(cfg.Models))
+	approx := make([][][]byte, len(cfg.Models))
 	for mi, m := range cfg.Models {
 		if m.InputDim < 1 {
-			return nil, nil, fmt.Errorf("serve: load model %q has input dim %d", m.Name, m.InputDim)
+			return nil, nil, fmt.Errorf("load model %q has input dim %d", m.Name, m.InputDim)
 		}
-		exact[mi] = make([]loadBody, cfg.Seeds)
-		approx[mi] = make([]loadBody, cfg.Seeds)
+		exact[mi] = make([][]byte, cfg.Seeds)
+		approx[mi] = make([][]byte, cfg.Seeds)
 		for s := 0; s < cfg.Seeds; s++ {
 			seed := uint64(s)
 			src := rng.NewPCG32(cfg.GenSeed^rng.SplitMix64(seed), uint64(mi)+7)
@@ -161,7 +161,7 @@ func buildBodies(cfg LoadConfig) ([][]loadBody, [][]loadBody, error) {
 				}
 				inputs[i] = x
 			}
-			req := ClassifyRequest{Model: m.Name, Seed: seed, SPF: cfg.SPF}
+			req := serve.ClassifyRequest{Model: m.Name, Seed: seed, SPF: cfg.SPF}
 			if cfg.Items == 1 {
 				req.Input = inputs[0]
 			} else {
@@ -171,7 +171,7 @@ func buildBodies(cfg LoadConfig) ([][]loadBody, [][]loadBody, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			exact[mi][s] = loadBody{raw: raw}
+			exact[mi][s] = raw
 			if cfg.ApproxFrac > 0 {
 				conf := cfg.Conf
 				req.Copies, req.Conf = cfg.Copies, &conf
@@ -179,37 +179,37 @@ func buildBodies(cfg LoadConfig) ([][]loadBody, [][]loadBody, error) {
 				if err != nil {
 					return nil, nil, err
 				}
-				approx[mi][s] = loadBody{raw: raw}
+				approx[mi][s] = raw
 			}
 		}
 	}
 	return exact, approx, nil
 }
 
-// RunLoad drives one open-loop load run and reports what came back. ctx
+// runLoad drives one open-loop load run and reports what came back. ctx
 // cancellation stops arrivals early; in-flight requests still complete.
-func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
+func runLoad(ctx context.Context, cfg loadConfig) (loadReport, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Models) == 0 {
-		return LoadReport{}, fmt.Errorf("serve: load run needs at least one model")
+		return loadReport{}, fmt.Errorf("load run needs at least one model")
 	}
 	if cfg.Rate <= 0 || cfg.Duration <= 0 {
-		return LoadReport{}, fmt.Errorf("serve: load run needs positive rate and duration")
+		return loadReport{}, fmt.Errorf("load run needs positive rate and duration")
 	}
 	exact, approx, err := buildBodies(cfg)
 	if err != nil {
-		return LoadReport{}, err
+		return loadReport{}, err
 	}
 
 	var (
 		mu        sync.Mutex
 		latencies []int64 // ns, successful measured requests
-		report    LoadReport
+		report    loadReport
 		outst     atomic.Int64
 		wg        sync.WaitGroup
 	)
 	report.TargetRate = cfg.Rate
-	url := trimSlash(cfg.URL) + "/v1/classify"
+	url := strings.TrimRight(cfg.URL, "/") + "/v1/classify"
 
 	// Mixing stream: decides exact-vs-approx per arrival, replayably.
 	mix := rng.NewPCG32(cfg.GenSeed, 3)
@@ -230,16 +230,25 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 	end := statsStart.Add(cfg.Duration)
 	next := start
 	reqIndex := 0
+	// The arrival wait selects on ctx and never runs past end, so neither a
+	// cancellation nor the end of the run waits out an exponential gap
+	// (unbounded at low rates).
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	var stopped time.Time // when arrivals stopped: end, or earlier on cancel
 	for {
 		now := time.Now()
 		if now.After(end) || ctx.Err() != nil {
+			stopped = now
 			break
 		}
-		if next.After(now) {
-			time.Sleep(next.Sub(now))
-			if ctx.Err() != nil {
-				break
+		if wait := next.Sub(now); wait > 0 {
+			timer.Reset(min(wait, end.Sub(now)+1))
+			select {
+			case <-timer.C:
+			case <-ctx.Done():
 			}
+			continue
 		}
 		launch := time.Now()
 		mi := reqIndex % len(cfg.Models)
@@ -271,7 +280,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 			var answeredBy string
 			if err == nil {
 				io.Copy(io.Discard, resp.Body)
-				answeredBy = resp.Header.Get(ReplicaHeader)
+				answeredBy = resp.Header.Get(serve.ReplicaHeader)
 				resp.Body.Close()
 				status = resp.StatusCode
 			}
@@ -297,11 +306,16 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (LoadReport, error) {
 			default:
 				report.Errors++
 			}
-		}(body.raw, measured)
+		}(body, measured)
 	}
 	wg.Wait()
 
-	report.DurationS = cfg.Duration.Seconds()
+	// The measured window is what actually ran: an early stop shortens it
+	// (and a stop during warmup empties it), so AchievedRPS stays honest.
+	if stopped.After(end) {
+		stopped = end
+	}
+	report.DurationS = max(stopped.Sub(statsStart).Seconds(), 0)
 	if report.Requests > 0 {
 		report.ShedRate = float64(report.Shed) / float64(report.Requests)
 	}
@@ -339,46 +353,46 @@ func quantileMS(sorted []int64, q float64) float64 {
 	return float64(sorted[i]) / 1e6
 }
 
-// FetchModels discovers the served model catalog from url's /v1/models.
-func FetchModels(client *http.Client, url string) ([]LoadModel, error) {
+// fetchModels discovers the served model catalog from url's /v1/models.
+func fetchModels(client *http.Client, url string) ([]loadModel, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
-	resp, err := client.Get(trimSlash(url) + "/v1/models")
+	resp, err := client.Get(strings.TrimRight(url, "/") + "/v1/models")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("serve: /v1/models status %d", resp.StatusCode)
+		return nil, fmt.Errorf("/v1/models status %d", resp.StatusCode)
 	}
-	var infos []ModelInfo
+	var infos []serve.ModelInfo
 	if err := json.NewDecoder(resp.Body).Decode(&infos); err != nil {
 		return nil, err
 	}
-	out := make([]LoadModel, len(infos))
+	out := make([]loadModel, len(infos))
 	for i, m := range infos {
-		out[i] = LoadModel{Name: m.Name, InputDim: m.InputDim}
+		out[i] = loadModel{Name: m.Name, InputDim: m.InputDim}
 	}
 	return out, nil
 }
 
-// ParityCheck enforces the shard-invariant bit-identity contract end to end:
+// parityCheck enforces the shard-invariant bit-identity contract end to end:
 // for n probe requests (mixing exact and ensemble traffic), the router's
 // response and every replica's direct response to the identical body must be
 // byte-identical — any replica must answer (model, seed, input) exactly as
 // any other, and as the router-fronted fleet. Returns the number of probes
 // on success.
-func ParityCheck(client *http.Client, routerURL string, replicaURLs []string, models []LoadModel, n int, genSeed uint64) (int, error) {
+func parityCheck(client *http.Client, routerURL string, replicaURLs []string, models []loadModel, n int, genSeed uint64) (int, error) {
 	if client == nil {
 		client = http.DefaultClient
 	}
 	if len(models) == 0 {
-		return 0, fmt.Errorf("serve: parity check needs at least one model")
+		return 0, fmt.Errorf("parity check needs at least one model")
 	}
-	targets := []string{trimSlash(routerURL)}
+	targets := []string{strings.TrimRight(routerURL, "/")}
 	for _, u := range replicaURLs {
-		targets = append(targets, trimSlash(u))
+		targets = append(targets, strings.TrimRight(u, "/"))
 	}
 	for i := 0; i < n; i++ {
 		m := models[i%len(models)]
@@ -387,7 +401,7 @@ func ParityCheck(client *http.Client, routerURL string, replicaURLs []string, mo
 		for j := range x {
 			x[j] = rng.Float64(src)
 		}
-		req := ClassifyRequest{Model: m.Name, Seed: uint64(1000 + i), SPF: 1 + i%3, Input: x}
+		req := serve.ClassifyRequest{Model: m.Name, Seed: uint64(1000 + i), SPF: 1 + i%3, Input: x}
 		if i%2 == 1 {
 			conf := 0.99
 			req.Copies, req.Conf = 8, &conf

@@ -10,18 +10,20 @@
 // Usage:
 //
 //	tnload -url http://localhost:8080 -rate 5000 -duration 30s
-//	tnload -url http://router:8080 -rate 20000 -approx 0.5 -out BENCH_7.json -label fleet4
+//	tnload -url http://router:8080 -rate 20000 -approx 0.5 -out report.json
 //	tnload -url http://router:8080 -check 16 -replicas http://r1:8081,http://r2:8082
 //
 // With -check N it additionally (or, with -rate 0, exclusively) runs N
 // parity probes: each probe's body is posted twice to the router and twice
 // to every -replicas URL directly, and all responses must be byte-identical
 // — the end-to-end enforcement of the shard-invariant determinism contract
-// (docs/DETERMINISM.md).
+// (docs/DETERMINISM.md). With -out the load report is also written as
+// indented JSON.
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -30,9 +32,6 @@ import (
 	"strings"
 	"syscall"
 	"time"
-
-	"repro/internal/eval"
-	"repro/internal/serve"
 )
 
 func main() {
@@ -55,18 +54,14 @@ func main() {
 		replicas = flag.String("replicas", "", "comma-separated replica base URLs probed directly by -check")
 		churn    = flag.String("churn", "", `fleet-churn plan run concurrently with the load: ';'-separated "OFFSET OP URL [PATH]" ops (join/leave/drain/restore via the router's /admin/backends, snapshot via the worker's /admin/snapshot); offsets count from load start, warmup included`)
 
-		out   = flag.String("out", "", "write/merge the report into this BENCH-record JSON file")
-		label = flag.String("label", "tnload", "benchmark name of the report inside -out")
-		pr    = flag.Int("pr", 0, "PR number stamped on a fresh -out record")
-		title = flag.String("title", "", "title stamped on a fresh -out record")
-		note  = flag.String("note", "", "note stamped on a fresh -out record")
+		out = flag.String("out", "", "also write the load report to this file as JSON")
 	)
 	flag.Parse()
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	catalog, err := serve.FetchModels(nil, *url)
+	catalog, err := fetchModels(nil, *url)
 	if err != nil {
 		fatal(fmt.Errorf("discover models at %s: %w", *url, err))
 	}
@@ -82,7 +77,7 @@ func main() {
 				reps = append(reps, u)
 			}
 		}
-		n, err := serve.ParityCheck(nil, *url, reps, targets, *check, *genSeed)
+		n, err := parityCheck(nil, *url, reps, targets, *check, *genSeed)
 		if err != nil {
 			fatal(fmt.Errorf("parity check failed after %d probes: %w", n, err))
 		}
@@ -92,32 +87,32 @@ func main() {
 		return
 	}
 
-	cfg := serve.LoadConfig{
+	cfg := loadConfig{
 		URL: *url, Rate: *rate, Duration: *duration, Warmup: *warmup,
 		Models: targets, SPF: *spf, Items: *items, Seeds: *seeds,
 		ApproxFrac: *approx, Copies: *copies, Conf: *conf,
 		GenSeed: *genSeed, MaxOutstanding: *maxOut,
 	}
-	var churnOps []serve.ChurnOp
+	var churnOps []churnOp
 	if *churn != "" {
-		churnOps, err = serve.ParseChurnPlan(*churn)
+		churnOps, err = parseChurnPlan(*churn)
 		if err != nil {
 			fatal(err)
 		}
 	}
 	fmt.Printf("tnload: %s rate=%.0f/s duration=%s warmup=%s models=%v approx=%.2f churn_ops=%d\n",
 		*url, *rate, *duration, *warmup, names(targets), *approx, len(churnOps))
-	var churnResults []serve.ChurnResult
+	var churnResults []churnResult
 	churnDone := make(chan struct{})
 	if len(churnOps) > 0 {
 		go func() {
 			defer close(churnDone)
-			churnResults = serve.RunChurn(ctx, nil, *url, churnOps)
+			churnResults = runChurn(ctx, nil, *url, churnOps)
 		}()
 	} else {
 		close(churnDone)
 	}
-	report, err := serve.RunLoad(ctx, cfg)
+	report, err := runLoad(ctx, cfg)
 	if err != nil {
 		fatal(err)
 	}
@@ -145,30 +140,14 @@ func main() {
 	}
 
 	if *out != "" {
-		rec, err := eval.LoadBenchRecord(*out)
+		raw, err := json.MarshalIndent(report, "", "  ")
 		if err != nil {
 			fatal(err)
 		}
-		if rec.PR == 0 {
-			rec.PR = *pr
-		}
-		if rec.Title == "" {
-			rec.Title = *title
-		}
-		if rec.Note == "" {
-			rec.Note = *note
-		}
-		if rec.Machine == "" {
-			rec.Machine = eval.Machine()
-		}
-		if rec.Command == "" {
-			rec.Command = strings.Join(os.Args, " ")
-		}
-		rec.Set(*label, report)
-		if err := rec.Write(*out); err != nil {
+		if err := os.WriteFile(*out, append(raw, '\n'), 0o644); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("recorded %q into %s\n", *label, *out)
+		fmt.Printf("wrote report to %s\n", *out)
 	}
 	if churnFailed {
 		fatal(fmt.Errorf("one or more churn operations failed (see above)"))
@@ -186,7 +165,7 @@ func sortedKeys(m map[string]int64) []string {
 
 // pickModels filters the discovered catalog down to the -model selection
 // (all of it when the flag is empty).
-func pickModels(catalog []serve.LoadModel, sel string) []serve.LoadModel {
+func pickModels(catalog []loadModel, sel string) []loadModel {
 	if strings.TrimSpace(sel) == "" {
 		return catalog
 	}
@@ -196,7 +175,7 @@ func pickModels(catalog []serve.LoadModel, sel string) []serve.LoadModel {
 			want[name] = true
 		}
 	}
-	var out []serve.LoadModel
+	var out []loadModel
 	for _, m := range catalog {
 		if want[m.Name] {
 			out = append(out, m)
@@ -205,7 +184,7 @@ func pickModels(catalog []serve.LoadModel, sel string) []serve.LoadModel {
 	return out
 }
 
-func names(ms []serve.LoadModel) []string {
+func names(ms []loadModel) []string {
 	out := make([]string, len(ms))
 	for i, m := range ms {
 		out[i] = m.Name

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -233,21 +232,6 @@ func runExperiment(r *eval.Runner, id string, getFig7 func() (*eval.Fig7Result, 
 			return err
 		}
 		fmt.Println(eval.RenderChipScale(c))
-		if opt.OutDir != "" {
-			path := filepath.Join(opt.OutDir, "BENCH_PLACE.json")
-			rec, err := eval.LoadBenchRecord(path)
-			if err != nil {
-				return err
-			}
-			rec.PR = 10
-			rec.Title = "Mesh NoC accounting + seeded annealing placer: chipscale ladder"
-			rec.Machine = eval.Machine()
-			rec.Command = "tnrepro -exp chipscale -place " + c.Placer + " -out <dir>"
-			rec.Set("chipscale", c)
-			if err := rec.Write(path); err != nil {
-				return err
-			}
-		}
 	case "earlyexit":
 		ee, err := eval.EarlyExit(r)
 		if err != nil {
@@ -260,21 +244,6 @@ func runExperiment(r *eval.Runner, id string, getFig7 func() (*eval.Fig7Result, 
 			return err
 		}
 		fmt.Println(eval.RenderFaults(f))
-		if opt.OutDir != "" {
-			path := filepath.Join(opt.OutDir, "BENCH_FAULTS.json")
-			rec, err := eval.LoadBenchRecord(path)
-			if err != nil {
-				return err
-			}
-			rec.PR = 9
-			rec.Title = "Deterministic fault injection + graceful-degradation sweep"
-			rec.Machine = eval.Machine()
-			rec.Command = "tnrepro -exp faults -out <dir>"
-			rec.Set("faults", f)
-			if err := rec.Write(path); err != nil {
-				return err
-			}
-		}
 	case "ablations":
 		sig, err := eval.AblationSigma(r)
 		if err != nil {

@@ -81,7 +81,7 @@ type ChipScaleResult struct {
 // (Options.Place, default "anneal") against naive row-major on static wire
 // cost and max-link load. Under the pre-overhaul dense simulator the top
 // rung alone cost ~50 ms per tick of pure core walking; event-driven
-// evaluation makes the sweep routine (BENCH_5.json, BENCH_10.json).
+// evaluation makes the sweep routine.
 func ChipScale(r *Runner) (*ChipScaleResult, error) {
 	b, err := BenchByID(3) // 62 cores per copy (49+9+4) under the signed mapping
 	if err != nil {

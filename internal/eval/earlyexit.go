@@ -39,8 +39,7 @@ type EarlyExitBench struct {
 	Points  []EarlyExitPoint
 }
 
-// EarlyExitResult is the tnrepro -exp earlyexit payload (recorded into
-// BENCH_6.json).
+// EarlyExitResult is the tnrepro -exp earlyexit payload.
 type EarlyExitResult struct {
 	Benches []EarlyExitBench
 }

@@ -494,6 +494,10 @@ func TestChipScaleLadder(t *testing.T) {
 		if e.WirePlaced >= e.WireNaive {
 			t.Fatalf("rung %d: placed wire %f not below naive %f", i, e.WirePlaced, e.WireNaive)
 		}
+		if saved := 1 - e.WirePlaced/e.WireNaive; saved < 0.25 {
+			t.Fatalf("rung %d: annealed wire %.0f only %.1f%% below row-major %.0f, want >= 25%%",
+				i, e.WirePlaced, 100*saved, e.WireNaive)
+		}
 		if e.MaxLinkPlaced > e.MaxLinkNaive {
 			t.Fatalf("rung %d: placed max link %f hotter than naive %f", i, e.MaxLinkPlaced, e.MaxLinkNaive)
 		}
@@ -504,7 +508,67 @@ func TestChipScaleLadder(t *testing.T) {
 			t.Fatalf("rung %d: NoC observer perturbed the simulation: %+v", i, e)
 		}
 	}
+	if top := res.Entries[len(res.Entries)-1]; top.MaxLinkPlaced >= top.MaxLinkNaive {
+		t.Fatalf("top rung: annealed max link %.0f not below row-major %.0f", top.MaxLinkPlaced, top.MaxLinkNaive)
+	}
 	if out := RenderChipScale(res); !strings.Contains(out, "wire-naive") {
 		t.Fatalf("render: %q", out)
 	}
+}
+
+// TestFaultsSmallScale runs the fault sweep at smoke scale and checks the
+// shape of its result: every curve's zero-fault point bit-identical to the
+// never-faulted predictor, both learners over at least four (path, model)
+// pairs, accuracy that degrades with fault severity in aggregate, and the
+// two gate probes.
+func TestFaultsSmallScale(t *testing.T) {
+	skipIfHeavy(t)
+	r := NewRunner(Options{Quick: true, Seed: 20160605, TrainN: 600, TestN: 300, EpochsN: 2}, nil)
+	res, err := Faults(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := map[[2]string]bool{}
+	penalties := map[string]bool{}
+	var dropSum float64
+	nonNeg := 0
+	for _, c := range res.Curves {
+		if !c.ZeroFaultExact {
+			t.Errorf("%s/%s (%s): zero-fault point not bit-identical to the unfaulted predictor", c.Path, c.Model, c.Penalty)
+		}
+		models[[2]string{c.Path, c.Model}] = true
+		penalties[c.Penalty] = true
+		if len(c.Points) < 2 {
+			t.Fatalf("%s/%s: %d points", c.Path, c.Model, len(c.Points))
+		}
+		// Level 0 minus the heaviest level. Single curves are noisy at smoke
+		// scale, so the checks below are on the sweep in aggregate.
+		drop := c.Points[0].Accuracy - c.Points[len(c.Points)-1].Accuracy
+		dropSum += drop
+		if drop >= 0 {
+			nonNeg++
+		}
+	}
+	if len(models) < 4 {
+		t.Errorf("%d (path, model) pairs, want >= 4: %v", len(models), models)
+	}
+	if len(penalties) != 2 || !penalties["none"] || !penalties["biased"] {
+		t.Errorf("penalties %v, want exactly {none, biased}", penalties)
+	}
+	if dropSum <= 0 {
+		t.Errorf("summed accuracy drop at the heaviest fault level %v, want > 0", dropSum)
+	}
+	if nonNeg < len(res.Curves)*2/3 {
+		t.Errorf("%d of %d curves lose no accuracy at the heaviest level, want >= 2/3", nonNeg, len(res.Curves))
+	}
+	if len(res.Gates) != 2 {
+		t.Fatalf("%d gate probes, want 2", len(res.Gates))
+	}
+	for _, g := range res.Gates {
+		if len(g.Points) < 2 {
+			t.Errorf("gate %s: %d points, want >= 2", g.Spec, len(g.Points))
+		}
+	}
+	t.Logf("%d curves over %d (path, model) pairs, %d/%d drops >= 0, summed drop %.4f",
+		len(res.Curves), len(models), nonNeg, len(res.Curves), dropSum)
 }

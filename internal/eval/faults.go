@@ -53,8 +53,7 @@ type FaultGate struct {
 	Points []FaultGatePoint `json:"points"`
 }
 
-// FaultsResult is the tnrepro -exp faults payload (recorded into
-// BENCH_9.json).
+// FaultsResult is the tnrepro -exp faults payload.
 type FaultsResult struct {
 	Bench     Bench        `json:"bench"`
 	SPF       int          `json:"spf"`

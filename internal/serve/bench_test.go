@@ -122,7 +122,7 @@ func decisiveBenchNet(tb testing.TB, inputs, neurons, classes int) *nn.Network {
 // decisive-vote model. MaxBatch 1 keeps every request in a batch of its own,
 // so the measured cost is one request's inference; the gap between the
 // exact and conf99 sub-benchmarks is the early-exit payoff a serving client
-// sees (BENCH_6.json).
+// sees.
 func BenchmarkServeClassifyConf(b *testing.B) {
 	net := decisiveBenchNet(b, 256, 256, 4)
 	x := make([]float64, 256)

@@ -8,22 +8,18 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/eval"
 	"repro/internal/nn"
 )
 
@@ -403,267 +399,4 @@ func TestChaosMembershipChurnUnderTraffic(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-}
-
-// TestRollingRestartBench is the env-gated measurement behind BENCH_8.json:
-//
-//	CHAOS_BENCH_OUT=BENCH_8.json go test ./internal/serve -run TestRollingRestartBench -v
-//
-// It measures (a) a restored replica's first-request latency against a
-// cold-started one over an ensemble working set — asserting the >= 5x warm
-// advantage the snapshot exists for — and (b) a rolling restart of a
-// 4-replica fleet under open-loop load, warm (snapshot) versus cold restarts:
-// ambient p99 across each roll plus the rejoin first-touch latency of every
-// restarted replica's own keyspace.
-func TestRollingRestartBench(t *testing.T) {
-	out := os.Getenv("CHAOS_BENCH_OUT")
-	if out == "" {
-		t.Skip("set CHAOS_BENCH_OUT to a BENCH json path to run the rolling-restart measurement")
-	}
-	// The model must be big enough that drawing a sampled copy dwarfs HTTP
-	// and batching overhead — 512 neurons x 128 inputs is ~65k weights per
-	// copy, so a 16-copy cold first request pays ~1M weight draws.
-	nets := map[string]*nn.Network{"m": testNet(t, 7, 128, 512, 4)}
-	dir := t.TempDir()
-	cfg := Config{MaxBatch: 8}
-
-	// (a) First-request latency, warm vs cold, ensemble working set.
-	const benchSeeds, copies = 3, 16
-	conf := 0.0 // exact: every copy sampled and evaluated
-	x := make([]float64, 128)
-	for i := range x {
-		x[i] = float64(i%7) * 0.14
-	}
-	reqFor := func(s int) ClassifyRequest {
-		return ClassifyRequest{Model: "m", Seed: uint64(s), SPF: 1, Input: x, Copies: copies, Conf: &conf}
-	}
-	rep := newChaosReplica(t, nets, cfg, filepath.Join(dir, "bench.snap"))
-	client := &http.Client{Timeout: 30 * time.Second}
-	for s := 0; s < benchSeeds; s++ { // build the working set
-		if resp, _, raw := postClassify(t, client, rep.url(), reqFor(s)); resp.StatusCode != http.StatusOK {
-			t.Fatalf("warmup seed %d: status %d: %s", s, resp.StatusCode, raw)
-		}
-	}
-	firstRequestMS := func() []float64 {
-		ms := make([]float64, benchSeeds)
-		for s := 0; s < benchSeeds; s++ {
-			begin := time.Now()
-			if resp, _, raw := postClassify(t, client, rep.url(), reqFor(s)); resp.StatusCode != http.StatusOK {
-				t.Fatalf("bench seed %d: status %d: %s", s, resp.StatusCode, raw)
-			}
-			ms[s] = float64(time.Since(begin).Microseconds()) / 1000
-		}
-		return ms
-	}
-	rep.stop(true) // writes the snapshot
-	rep.start()    // restores it
-	waitHTTPHealthy(t, rep.url())
-	warmMS := firstRequestMS()
-	rep.stop(false)
-	if err := os.Remove(rep.snapPath); err != nil {
-		t.Fatal(err)
-	}
-	rep.start() // cold: no snapshot to restore
-	waitHTTPHealthy(t, rep.url())
-	coldMS := firstRequestMS()
-	median := func(v []float64) float64 {
-		s := append([]float64(nil), v...)
-		sort.Float64s(s)
-		return s[len(s)/2]
-	}
-	warm, cold := median(warmMS), median(coldMS)
-	ratio := cold / warm
-	t.Logf("first request after restart: warm %.3fms, cold %.3fms (%.1fx)", warm, cold, ratio)
-	if ratio < 5 {
-		t.Errorf("warm restart first-request advantage %.1fx, want >= 5x", ratio)
-	}
-
-	// (b) A rolling restart of a 4-replica fleet under open-loop load, warm
-	// (snapshot) versus cold. Two measurements come out of each roll:
-	//
-	//   - the ambient open-loop p99 across the whole run. On a multi-core
-	//     host this is where a cold roll's shard stampede shows up; on a
-	//     single-core host the warm roll's boot-time rewarm burst shares the
-	//     one CPU with live traffic and inflates this number instead, so it
-	//     is recorded as context rather than asserted on.
-	//   - rejoin first-touch: right after each restarted replica boots and
-	//     before it is restored to the ring, every (model, seed) body it owns
-	//     is posted straight at it. Off-ring, only the test can reach it, so
-	//     the probe is race-free: it is exactly the first request its shard
-	//     would see after rejoin. Warm boots answer from the restored cache;
-	//     cold boots pay the resample. This is the stampede metric, and it is
-	//     asserted on.
-	rollP99 := func(warmRoll bool) (LoadReport, []float64) {
-		fdir := t.TempDir()
-		const fleetSize = 4
-		reps := make([]*chaosReplica, fleetSize)
-		urls := make([]string, fleetSize)
-		for i := range reps {
-			reps[i] = newChaosReplica(t, nets, cfg, filepath.Join(fdir, fmt.Sprintf("rep%d.snap", i)))
-			urls[i] = reps[i].url()
-		}
-		rt, err := NewRouter(urls, RouterConfig{HealthInterval: -1, Attempts: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer rt.Close()
-		front := httptest.NewServer(rt.Handler())
-		defer front.Close()
-
-		models, err := FetchModels(nil, front.URL)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Sized for the 1-cpu CI box: the offered rate must sit well under the
-		// fleet's single-core capacity so the tail reflects restart cost, not
-		// saturation backlog, and the per-replica working set must stay small
-		// enough that boot-time rewarming is a blip rather than a stall.
-		lcfg := LoadConfig{
-			URL: front.URL, Rate: 40, Duration: 6 * time.Second, Warmup: time.Second,
-			Models: models, SPF: 1, Seeds: 6, ApproxFrac: 1, Copies: 8, Conf: 0.99,
-			GenSeed: 1,
-		}
-		// The rejoin probes replay the generator's own bodies, so a probe hits
-		// exactly the cache keys the load traffic warmed (ApproxFrac 1: the
-		// ensemble bodies are the only ones in flight).
-		_, probeBodies, err := buildBodies(lcfg.withDefaults())
-		if err != nil {
-			t.Fatal(err)
-		}
-		probeClient := &http.Client{Timeout: 30 * time.Second}
-		var rejoinMS []float64
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			time.Sleep(lcfg.Warmup + 200*time.Millisecond)
-			// Attribute each body to its owning replica via the response
-			// header; these are bodies the load already cycles, so the extra
-			// posts are a no-op for cache state.
-			owned := make(map[string][][]byte)
-			for mi := range probeBodies {
-				for si := range probeBodies[mi] {
-					raw := probeBodies[mi][si].raw
-					resp, err := probeClient.Post(front.URL+"/v1/classify", "application/json", bytes.NewReader(raw))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					rep := resp.Header.Get(ReplicaHeader)
-					if resp.StatusCode != http.StatusOK || rep == "" {
-						t.Errorf("ownership probe: status %d, replica %q", resp.StatusCode, rep)
-						return
-					}
-					owned[rep] = append(owned[rep], raw)
-				}
-			}
-			for _, r := range reps {
-				begin := time.Now()
-				if err := rt.Drain(r.url()); err != nil {
-					t.Error(err)
-					return
-				}
-				drained := time.Now()
-				r.stop(warmRoll) // cold roll: no snapshot written
-				if !warmRoll {
-					os.Remove(r.snapPath)
-				}
-				stopped := time.Now()
-				r.start()
-				waitHTTPHealthy(t, r.url())
-				booted := time.Now()
-				for _, raw := range owned[r.url()] { // off-ring: first touch of its shard
-					pb := time.Now()
-					resp, err := probeClient.Post(r.url()+"/v1/classify", "application/json", bytes.NewReader(raw))
-					if err != nil {
-						t.Error(err)
-						return
-					}
-					io.Copy(io.Discard, resp.Body)
-					resp.Body.Close()
-					if resp.StatusCode != http.StatusOK {
-						t.Errorf("rejoin probe: status %d", resp.StatusCode)
-						return
-					}
-					rejoinMS = append(rejoinMS, float64(time.Since(pb).Microseconds())/1000)
-				}
-				if err := rt.Restore(r.url()); err != nil {
-					t.Error(err)
-					return
-				}
-				t.Logf("roll(warm=%v) %s: drain %s, stop %s, boot %s, %d rejoin probes", warmRoll, r.url(),
-					drained.Sub(begin), stopped.Sub(drained), booted.Sub(stopped), len(owned[r.url()]))
-				time.Sleep(200 * time.Millisecond)
-			}
-		}()
-		report, err := RunLoad(context.Background(), lcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		<-done
-		if report.Errors != 0 {
-			t.Errorf("rolling restart (warm=%v) produced %d failed requests", warmRoll, report.Errors)
-		}
-		t.Logf("roll(warm=%v): %d ok of %d, p50 %.2fms p99 %.2fms p999 %.2fms max %.2fms",
-			warmRoll, report.OK, report.Requests, report.P50MS, report.P99MS, report.P999MS, report.MaxMS)
-		return report, rejoinMS
-	}
-	warmRoll, warmRejoin := rollP99(true)
-	coldRoll, coldRejoin := rollP99(false)
-	warmTouch, coldTouch := median(warmRejoin), median(coldRejoin)
-	t.Logf("p99 during rolling restart: warm %.2fms, cold %.2fms", warmRoll.P99MS, coldRoll.P99MS)
-	t.Logf("rejoin first-touch median: warm %.3fms, cold %.3fms (%.1fx)", warmTouch, coldTouch, coldTouch/warmTouch)
-	if len(warmRejoin) == 0 || len(coldRejoin) == 0 {
-		t.Error("rolling restarts produced no rejoin probes")
-	} else if coldTouch < 1.5*warmTouch {
-		t.Errorf("cold rejoin first-touch %.3fms vs warm %.3fms: want cold >= 1.5x warm", coldTouch, warmTouch)
-	}
-
-	rec, err := eval.LoadBenchRecord(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.PR == 0 {
-		rec.PR = 8
-	}
-	if rec.Title == "" {
-		rec.Title = "Warm rolling restarts: registry snapshot/restore + dynamic fleet membership"
-	}
-	if rec.Machine == "" {
-		rec.Machine = eval.Machine()
-	}
-	if rec.Command == "" {
-		rec.Command = "CHAOS_BENCH_OUT=BENCH_8.json go test ./internal/serve -run TestRollingRestartBench -v"
-	}
-	if rec.Note == "" {
-		rec.Note = "rolling_restart_* p99 is ambient open-loop latency across the whole roll; on a " +
-			"single-core host the warm roll's boot-time rewarm shares the CPU with live traffic and " +
-			"inflates it. restart_rejoin_first_touch is the shard-stampede metric: first request to " +
-			"each restarted replica's own keyspace, probed off-ring."
-	}
-	rec.Set("restart_first_request", map[string]any{
-		"model":          "testNet(7, 128, 512, 4)",
-		"request":        fmt.Sprintf("%d-copy exact ensemble, spf 1", copies),
-		"seeds":          benchSeeds,
-		"warm_median_ms": warm,
-		"cold_median_ms": cold,
-		"warm_over_cold": ratio,
-		"warm_ms":        warmMS,
-		"cold_ms":        coldMS,
-	})
-	rec.Set("restart_rejoin_first_touch", map[string]any{
-		"request":        "8-copy conf-0.99 ensemble (the load mix), posted off-ring after boot",
-		"warm_median_ms": warmTouch,
-		"cold_median_ms": coldTouch,
-		"cold_over_warm": coldTouch / warmTouch,
-		"warm_ms":        warmRejoin,
-		"cold_ms":        coldRejoin,
-	})
-	rec.Set("rolling_restart_warm", warmRoll)
-	rec.Set("rolling_restart_cold", coldRoll)
-	if err := rec.Write(out); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("recorded rolling-restart benchmarks into %s", out)
 }

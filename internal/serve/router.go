@@ -641,8 +641,8 @@ func (rt *Router) handleHealth(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// backendsOp is the POST /admin/backends payload: one membership operation.
-type backendsOp struct {
+// BackendsOp is the POST /admin/backends payload: one membership operation.
+type BackendsOp struct {
 	// Op is one of "join", "leave", "drain", "restore".
 	Op  string `json:"op"`
 	URL string `json:"url"`
@@ -657,7 +657,7 @@ func (rt *Router) handleBackends(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, rt.Stats().Replicas)
 	case http.MethodPost:
-		var op backendsOp
+		var op BackendsOp
 		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "read request body: "+err.Error())

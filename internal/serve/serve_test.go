@@ -505,3 +505,29 @@ func TestServeGracefulDrainServesAcceptedWork(t *testing.T) {
 		t.Fatalf("post-drain status %d, want 503", resp.StatusCode)
 	}
 }
+
+// TestDemoNetworkDeterministic: two processes registering the demo model
+// must build identical networks — the homogeneous-fleet precondition the
+// router smoke test rests on.
+func TestDemoNetworkDeterministic(t *testing.T) {
+	a, err := DemoNetwork(2016, 64, 128, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := DemoNetwork(2016, 64, 128, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wa := a.Layers[0].Cores[0].W
+	wb := b.Layers[0].Cores[0].W
+	for r := 0; r < 128; r++ {
+		for c := 0; c < 64; c++ {
+			if wa.At(r, c) != wb.At(r, c) {
+				t.Fatalf("demo weight (%d,%d) differs across builds with one seed", r, c)
+			}
+		}
+	}
+	if _, err := DemoNetwork(1, 0, 4, 2); err == nil {
+		t.Fatal("invalid demo geometry accepted")
+	}
+}

@@ -544,8 +544,8 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// snapshotRequest is the optional POST /admin/snapshot payload.
-type snapshotRequest struct {
+// SnapshotRequest is the optional POST /admin/snapshot payload.
+type SnapshotRequest struct {
 	// Path overrides the server's configured snapshot path for this write.
 	Path string `json:"path,omitempty"`
 }
@@ -559,7 +559,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST required")
 		return
 	}
-	var req snapshotRequest
+	var req SnapshotRequest
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read request body: "+err.Error())

@@ -341,7 +341,7 @@ func TestSnapshotFileAndAdminEndpoint(t *testing.T) {
 
 	// Explicit path overrides.
 	reqPath := filepath.Join(dir, "requested.snap")
-	body := mustJSON(t, snapshotRequest{Path: reqPath})
+	body := mustJSON(t, SnapshotRequest{Path: reqPath})
 	resp, err = ts.Client().Post(ts.URL+"/admin/snapshot", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)

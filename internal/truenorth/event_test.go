@@ -1194,7 +1194,7 @@ func TestFaultsClearRestoresBaseline(t *testing.T) {
 
 // BenchmarkChipTickSparse measures one event-driven tick of a full 4096-core
 // chip carrying a 16-core pulse of activity — cost must scale with spike
-// activity, not chip size (BENCH_5.json).
+// activity, not chip size.
 func BenchmarkChipTickSparse(b *testing.B) {
 	benchmarkChipTickSparse(b, (*Chip).Tick)
 }
