@@ -35,7 +35,6 @@ func main() {
 		copies    = flag.Int("copies", 1, "network copies to place")
 		frames    = flag.Int("frames", 50, "test frames to run through the chip")
 		workers   = flag.Int("workers", 1, "worker goroutines, each simulating a private chip (0 = GOMAXPROCS); every item draws from its own stream, so results are identical for any worker count")
-		dense     = flag.Bool("dense", false, "force the dense reference simulator (TickDense) instead of the event-driven tick; results are bit-identical, only speed differs")
 		faultSpec = flag.String("fault", "", "inject a fault spec (internal/fault syntax, e.g. 'seed=7,dead=0.25,drop=0.1,drift=0.5'); fault draws depend only on the spec and copy index, so any tnrepro sweep point's fault realization reproduces here")
 		deviation = flag.String("deviation", "", "write a deviation PGM of layer0/core0 and exit")
 		place     = flag.String("place", "", "place the ensemble on the 64x64 mesh (naive, layered, anneal) and report NoC traffic vs the row-major baseline")
@@ -116,7 +115,6 @@ func main() {
 		}
 		fmt.Printf("faults: %s\n", fcfg.String())
 	}
-	cp.Dense = *dense
 	fmt.Printf("model %s/%s: %d copies -> %d cores (%.1f%% of one %d-core chip)\n",
 		m.Meta.Bench, m.Meta.Penalty, *copies, cp.Cores(),
 		100*float64(cp.Cores())/float64(truenorth.ChipCapacity), truenorth.ChipCapacity)
@@ -153,12 +151,8 @@ func main() {
 		}
 		src := rng.NewPCG32(*seed, 9)
 		var hops, routed, maxLink int64
-		frame := cn.Frame
-		if *dense {
-			frame = cn.FrameDense
-		}
 		for f := 0; f < n; f++ {
-			frame(test.X[f], *spf, src)
+			cn.Frame(test.X[f], *spf, src)
 			noc := cn.Chip.NoC()
 			hops += noc.Hops
 			routed += noc.Spikes

@@ -100,7 +100,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	fmt.Printf("tnload: %s rate=%.0f/s duration=%s warmup=%s models=%v approx=%.2f churn_ops=%d\n",
+	fmt.Printf("tnload: %s rate=%g/s duration=%s warmup=%s models=%v approx=%.2f churn_ops=%d\n",
 		*url, *rate, *duration, *warmup, names(targets), *approx, len(churnOps))
 	var churnResults []churnResult
 	churnDone := make(chan struct{})

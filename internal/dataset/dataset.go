@@ -8,10 +8,7 @@
 package dataset
 
 import (
-	"compress/gzip"
-	"encoding/gob"
 	"fmt"
-	"os"
 
 	"repro/internal/rng"
 )
@@ -124,12 +121,6 @@ func (s BlockSpec) GridDims() (rows, cols int) {
 	return len(positions(s.Height, s.Block, s.Stride)), len(positions(s.Width, s.Block, s.Stride))
 }
 
-// NumBlocks returns the total number of blocks (= first-layer cores).
-func (s BlockSpec) NumBlocks() int {
-	r, c := s.GridDims()
-	return r * c
-}
-
 // Indices returns, for every block in row-major block order, the flat feature
 // indices (into a Height*Width row-major grid) covered by that block.
 // Every returned list has length Block*Block.
@@ -152,54 +143,6 @@ func (s BlockSpec) Indices() [][]int {
 		}
 	}
 	return out
-}
-
-// Coverage returns, for each cell of the feature grid, how many blocks cover
-// it. Useful for validating stride geometry.
-func (s BlockSpec) Coverage() []int {
-	cov := make([]int, s.Height*s.Width)
-	for _, blk := range s.Indices() {
-		for _, i := range blk {
-			cov[i]++
-		}
-	}
-	return cov
-}
-
-// Save writes the dataset to path as gzip-compressed gob.
-func (d *Dataset) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("dataset save: %w", err)
-	}
-	defer f.Close()
-	zw := gzip.NewWriter(f)
-	if err := gob.NewEncoder(zw).Encode(d); err != nil {
-		return fmt.Errorf("dataset encode: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("dataset compress: %w", err)
-	}
-	return f.Close()
-}
-
-// Load reads a dataset written by Save.
-func Load(path string) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("dataset load: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("dataset decompress: %w", err)
-	}
-	defer zr.Close()
-	var d Dataset
-	if err := gob.NewDecoder(zr).Decode(&d); err != nil {
-		return nil, fmt.Errorf("dataset decode: %w", err)
-	}
-	return &d, nil
 }
 
 // Batches yields minibatch index slices covering [0,n) in order after an

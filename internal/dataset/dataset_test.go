@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"path/filepath"
 	"testing"
 	"testing/quick"
 
@@ -115,7 +114,7 @@ func TestBlockSpecPaperGeometry(t *testing.T) {
 	}
 	for _, c := range cases {
 		s := BlockSpec{Height: c.h, Width: c.w, Block: 16, Stride: c.stride}
-		if got := s.NumBlocks(); got != c.wantBlocks {
+		if got := len(s.Indices()); got != c.wantBlocks {
 			t.Errorf("%s: blocks = %d, want %d", c.name, got, c.wantBlocks)
 		}
 		r, cc := s.GridDims()
@@ -159,9 +158,21 @@ func TestBlockIndicesRowMajorWithinBlock(t *testing.T) {
 	}
 }
 
+// coverage returns, for each cell of s's feature grid, how many blocks cover
+// it.
+func coverage(s BlockSpec) []int {
+	cov := make([]int, s.Height*s.Width)
+	for _, blk := range s.Indices() {
+		for _, i := range blk {
+			cov[i]++
+		}
+	}
+	return cov
+}
+
 func TestBlockCoverageFullAtStrideEqualsBlock(t *testing.T) {
 	s := BlockSpec{Height: 32, Width: 32, Block: 16, Stride: 16}
-	for i, c := range s.Coverage() {
+	for i, c := range coverage(s) {
 		if c != 1 {
 			t.Fatalf("cell %d covered %d times, want exactly 1", i, c)
 		}
@@ -178,12 +189,11 @@ func TestBlockCoverageOverlap(t *testing.T) {
 		extra := rng.Intn(src, 10)
 		h := block + extra
 		s := BlockSpec{Height: h, Width: h, Block: block, Stride: stride}
-		cov := s.Coverage()
 		total := 0
-		for _, c := range cov {
+		for _, c := range coverage(s) {
 			total += c
 		}
-		return total == s.NumBlocks()*block*block
+		return total == len(s.Indices())*block*block
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -197,37 +207,6 @@ func TestBlockSpecPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	BlockSpec{Height: 8, Width: 8, Block: 0, Stride: 1}.Indices()
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	d := tiny()
-	path := filepath.Join(t.TempDir(), "d.gob.gz")
-	if err := d.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != d.Name || got.Len() != d.Len() || got.FeatDim != d.FeatDim {
-		t.Fatalf("metadata mismatch: %+v", got)
-	}
-	for i := range d.X {
-		if got.Y[i] != d.Y[i] {
-			t.Fatalf("label %d mismatch", i)
-		}
-		for j := range d.X[i] {
-			if got.X[i][j] != d.X[i][j] {
-				t.Fatalf("feature (%d,%d) mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("expected error")
-	}
 }
 
 func TestBatchesCoverAll(t *testing.T) {

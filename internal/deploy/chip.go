@@ -173,7 +173,7 @@ func BuildChipEnsemblePlaced(nets []*SampledNet, mapping Mapping, seed uint64, p
 // edge counts from the routing tables) — the input of the placement
 // optimizers.
 func (cn *ChipNet) Traffic() []truenorth.Traffic {
-	return cn.Chip.TrafficMatrix(nil)
+	return cn.Chip.TrafficMatrix()
 }
 
 // lower appends sn's cores, routing and input-injection maps onto cn's chip.
@@ -360,8 +360,8 @@ func (cn *ChipNet) Frame(x []float64, spf int, src rng.Source) []int64 {
 
 // FrameDense is Frame driven by the dense reference simulator
 // (truenorth.Chip.TickDense) instead of the event-driven tick. It exists for
-// the event-vs-dense parity suite and the before/after benchmarks; results
-// are bit-identical to Frame by the chip parity contract
+// the event-vs-dense parity suite and perfbench's truenorth.dense_ratio;
+// results are bit-identical to Frame by the chip parity contract
 // (docs/DETERMINISM.md).
 func (cn *ChipNet) FrameDense(x []float64, spf int, src rng.Source) []int64 {
 	return cn.frame(x, spf, src, (*truenorth.Chip).TickDense)

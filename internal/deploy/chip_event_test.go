@@ -258,10 +258,10 @@ func TestChipEnsembleFrameGOMAXPROCS(t *testing.T) {
 		t.Fatalf("ensemble has %d neurons, want at least %d to reach the parallel tick", neurons, 2*parMinNeurons)
 	}
 	type result struct {
-		Counts                   []int64
-		Stats                    truenorth.Stats
-		Spikes, Hops             int64
-		CoreSpikes, HLink, VLink []int64
+		Counts       []int64
+		Stats        truenorth.Stats
+		Spikes, Hops int64
+		HLink, VLink []int64
 	}
 	frame := func(procs, item int, dense bool) result {
 		runtime.GOMAXPROCS(procs)
@@ -280,7 +280,7 @@ func TestChipEnsembleFrameGOMAXPROCS(t *testing.T) {
 		}
 		noc := cn.Chip.NoC()
 		return result{counts, cn.Chip.Stats(), noc.Spikes, noc.Hops,
-			slices.Clone(noc.CoreSpikes), slices.Clone(noc.HLink), slices.Clone(noc.VLink)}
+			slices.Clone(noc.HLink), slices.Clone(noc.VLink)}
 	}
 	for item := 0; item < 6; item++ {
 		serial, parallel, dense := frame(1, item, false), frame(2, item, false), frame(2, item, true)

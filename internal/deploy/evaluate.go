@@ -111,9 +111,9 @@ func Surface(net *nn.Network, d *dataset.Dataset, maxCopies, maxSPF int, cfg Eva
 		repeats = 1
 	}
 
-	inputs, err := padInputs(net, d, n)
+	inputs, err := nn.PadInputs(net, d, n)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("deploy: %w", err)
 	}
 	res := &SurfaceResult{MaxCopies: maxCopies, MaxSPF: maxSPF, CoresPerCopy: net.NumCores()}
 	res.Mean = engine.NewGrid(maxCopies, maxSPF)
@@ -169,26 +169,4 @@ func Surface(net *nn.Network, d *dataset.Dataset, maxCopies, maxSPF int, cfg Eva
 		}
 	}
 	return res, nil
-}
-
-// padInputs returns the first n feature vectors zero-extended to the network
-// input width. A vector wider than the network is an error: truncating it
-// would silently drop features.
-func padInputs(net *nn.Network, d *dataset.Dataset, n int) ([][]float64, error) {
-	want := net.Layers[0].InDim
-	out := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		x := d.X[i]
-		switch {
-		case len(x) == want:
-			out[i] = x
-		case len(x) > want:
-			return nil, fmt.Errorf("deploy: input %d has %d features, network takes %d", i, len(x), want)
-		default:
-			p := make([]float64, want)
-			copy(p, x)
-			out[i] = p
-		}
-	}
-	return out, nil
 }

@@ -67,13 +67,6 @@ func (p *FastPredictor) Decide(counts []int64) int { return p.Net.DecideClass(co
 // including the engine's work-stealing fan-out. Integer-leak ensembles
 // consume no leak randomness and take no reseed draws.
 type ChipPredictor struct {
-	// Dense forces the dense reference simulator (ChipNet.FrameDense /
-	// truenorth.Chip.TickDense) instead of the event-driven tick. Results are
-	// bit-identical either way (the chip parity contract,
-	// docs/DETERMINISM.md); the switch exists for cross-checks and
-	// before/after benchmarking (tnchip -dense).
-	Dense bool
-
 	nets    []*SampledNet
 	mapping Mapping
 	seed    uint64
@@ -180,12 +173,7 @@ func (p *ChipPredictor) Frame(s engine.Scratch, x []float64, spf int, src rng.So
 		if p.leaky {
 			cn.Chip.Reseed(uint64(src.Uint32())<<32 | uint64(src.Uint32()))
 		}
-		var c []int64
-		if p.Dense {
-			c = cn.FrameDense(x, spf, src)
-		} else {
-			c = cn.Frame(x, spf, src)
-		}
+		c := cn.Frame(x, spf, src)
 		for k := range counts {
 			counts[k] += c[k]
 		}

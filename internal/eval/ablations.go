@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"repro/internal/core"
 	"repro/internal/deploy"
 	"repro/internal/engine"
 	"repro/internal/nn"
@@ -119,24 +120,10 @@ func AblationPenaltyShape(r *Runner) ([]AblationRow, error) {
 			Name:     s.name,
 			FloatAcc: nn.Evaluate(net, test, r.Opt.Workers),
 			Deployed: res.Accuracy,
-			Polar:    polarFrac(net),
+			Polar:    core.PolarFraction(net, 0.05),
 		})
 	}
 	return rows, nil
-}
-
-func polarFrac(net *nn.Network) float64 {
-	probs := net.Probabilities()
-	if len(probs) == 0 {
-		return 0
-	}
-	polar := 0
-	for _, p := range probs {
-		if p <= 0.05 || p >= 0.95 {
-			polar++
-		}
-	}
-	return float64(polar) / float64(len(probs))
 }
 
 // MappingReport summarizes the hardware-fidelity ablation: the paper's

@@ -120,9 +120,6 @@ type Options struct {
 	Ctx context.Context
 }
 
-// DefaultOptions runs the full paper protocol.
-func DefaultOptions() Options { return Options{Seed: 20160605} }
-
 // TrainSizes returns train/test sample counts for a dataset under o.
 func (o Options) TrainSizes(datasetName string) (train, test int) {
 	if o.TrainN > 0 && o.TestN > 0 {

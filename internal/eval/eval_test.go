@@ -70,7 +70,7 @@ func TestBenchByID(t *testing.T) {
 }
 
 func TestOptionsScaling(t *testing.T) {
-	full := DefaultOptions()
+	full := Options{Seed: 20160605}
 	trainN, testN := full.TrainSizes("digits")
 	if trainN != 60000 || testN != 10000 {
 		t.Fatalf("full digits sizes %d/%d", trainN, testN)

@@ -110,6 +110,15 @@ func refShardRun(net *Network, g *netGrads, inputs [][]float64, labels []int, id
 }
 
 // sameBits reports bitwise equality: unlike ==, it tells -0 from +0.
+// mustPad returns every input of d padded to net's input width.
+func mustPad(net *Network, d *dataset.Dataset) [][]float64 {
+	inputs, err := PadInputs(net, d, d.Len())
+	if err != nil {
+		panic(err)
+	}
+	return inputs
+}
+
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // sameGrads fails t at the first gradient element of got whose bits differ
@@ -261,7 +270,7 @@ func refTrain(net *Network, train *dataset.Dataset, cfg TrainConfig) float64 {
 		grads[i] = net.newGrads()
 	}
 	velocity := net.newGrads()
-	inputs := padInputs(net, train)
+	inputs := mustPad(net, train)
 	src := rng.NewPCG32(cfg.Seed, 77)
 	lr := cfg.LR
 	var lastLoss float64
@@ -365,7 +374,7 @@ func TestEvaluateMatchesReference(t *testing.T) { onBothPaths(t, testEvaluateMat
 func testEvaluateMatchesReference(t *testing.T) {
 	d := blobs(137, 21)
 	net, _ := blobArch().Build(rng.NewPCG32(9, 9), 1)
-	inputs := padInputs(net, d)
+	inputs := mustPad(net, d)
 	s := net.newScratch()
 	correct := 0
 	for i := range inputs {
@@ -610,7 +619,7 @@ func testTrainBench1ShapeBitIdenticalToReference(t *testing.T) {
 	netRef, netNew := build(), build()
 
 	compacted, dense := 0, 0
-	for _, x := range padInputs(netNew, train) {
+	for _, x := range mustPad(netNew, train) {
 		for _, c := range netNew.Layers[0].Cores {
 			n := 0
 			for _, i := range c.In {

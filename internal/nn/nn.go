@@ -399,13 +399,3 @@ func sign(v float64) float64 {
 	}
 	return 0
 }
-
-// ClampWeights projects every weight back into [-CMax, CMax]; called after
-// each optimizer step so probabilities stay valid.
-func (n *Network) ClampWeights() {
-	for _, l := range n.Layers {
-		for _, c := range l.Cores {
-			tensor.ClampSlice(c.W.Data, -n.CMax, n.CMax)
-		}
-	}
-}

@@ -271,16 +271,6 @@ func TestBackwardSigmaConstMatchesNumericalOfFrozenSigma(t *testing.T) {
 	}
 }
 
-func TestClampWeights(t *testing.T) {
-	net := tinyNet(t, 9)
-	net.Layers[0].Cores[0].W.Data[0] = 5
-	net.Layers[0].Cores[0].W.Data[1] = -5
-	net.ClampWeights()
-	if net.Layers[0].Cores[0].W.Data[0] != 1 || net.Layers[0].Cores[0].W.Data[1] != -1 {
-		t.Fatal("weights not clamped to [-CMax, CMax]")
-	}
-}
-
 func TestMergeReadoutRoundRobin(t *testing.T) {
 	r := NewMergeReadout(7, 3, 1)
 	wantAssign := []int{0, 1, 2, 0, 1, 2, 0}

@@ -35,15 +35,6 @@ type TrainConfig struct {
 	Progress func(epoch int, trainLoss, trainAcc float64)
 }
 
-// DefaultTrainConfig returns the settings used by the paper-scale runs
-// (10 epochs, per section 3.1).
-func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{
-		Epochs: 10, Batch: 32, LR: 0.1, Momentum: 0.9, LRDecay: 0.85,
-		Lambda: 0, Penalty: NonePenalty{}, Seed: 1, Workers: 0,
-	}
-}
-
 func (c *TrainConfig) workers() int {
 	if c.Workers > 0 {
 		return c.Workers
@@ -107,8 +98,8 @@ func (sh *trainShard) run(n *Network, inputs [][]float64, labels []int, idx []in
 }
 
 // Train runs minibatch SGD with momentum on net over train. Feature vectors
-// shorter than the input layer (grid padding) are zero-extended. Returns the
-// final epoch's mean training loss.
+// shorter than the input layer (grid padding) are zero-extended; a wider one
+// is an error. Returns the final epoch's mean training loss.
 //
 // The hot loop is batched: each worker shard flows through the tensor
 // package's minibatch GEMM/spike kernels, a persistent work-stealing pool
@@ -130,6 +121,10 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 	if train.Len() == 0 {
 		return 0, fmt.Errorf("nn: train: empty dataset")
 	}
+	inputs, err := PadInputs(net, train, train.Len())
+	if err != nil {
+		return 0, fmt.Errorf("nn: train: %w", err)
+	}
 	if cfg.Penalty == nil {
 		cfg.Penalty = NonePenalty{}
 	}
@@ -141,7 +136,6 @@ func Train(net *Network, train *dataset.Dataset, cfg TrainConfig) (float64, erro
 		shards[i] = &trainShard{g: net.newGrads(), bs: net.newBatchScratch(shardCap, true)}
 	}
 	updates := newCoreUpdates(net, shards)
-	inputs := padInputs(net, train)
 	pool := newPool(nw)
 	defer pool.close()
 
@@ -274,21 +268,26 @@ func updateCore(u *coreUpdate, st updateStep, pen Penalty) {
 	}
 }
 
-// padInputs zero-extends every feature vector to the network input width
-// (features are laid out on the Height x Width grid with trailing padding).
-func padInputs(net *Network, d *dataset.Dataset) [][]float64 {
+// PadInputs returns the first n feature vectors of d zero-extended to the
+// network input width (features are laid out on the Height x Width grid with
+// trailing padding). A vector wider than the network is an error: truncating
+// it would silently drop features.
+func PadInputs(net *Network, d *dataset.Dataset, n int) ([][]float64, error) {
 	want := net.Layers[0].InDim
-	out := make([][]float64, d.Len())
-	for i, x := range d.X {
-		if len(x) == want {
+	out := make([][]float64, n)
+	for i, x := range d.X[:n] {
+		switch {
+		case len(x) == want:
 			out[i] = x
-			continue
+		case len(x) > want:
+			return nil, fmt.Errorf("input %d has %d features, network takes %d", i, len(x), want)
+		default:
+			p := make([]float64, want)
+			copy(p, x)
+			out[i] = p
 		}
-		p := make([]float64, want)
-		copy(p, x)
-		out[i] = p
 	}
-	return out
+	return out, nil
 }
 
 // evalBatch is the evaluation work unit: small enough that work stealing
@@ -298,7 +297,8 @@ const evalBatch = 64
 // Evaluate returns the expectation-model ("Caffe") accuracy of net on d.
 // It runs on the same persistent pool and batched forward as Train: workers
 // steal evalBatch-sized units off a shared counter and forward each unit
-// through the minibatch kernels.
+// through the minibatch kernels. Inputs are padded as in Train; a wider
+// input panics.
 func Evaluate(net *Network, d *dataset.Dataset, workers int) float64 {
 	if d.Len() == 0 {
 		return 0
@@ -306,7 +306,10 @@ func Evaluate(net *Network, d *dataset.Dataset, workers int) float64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	inputs := padInputs(net, d)
+	inputs, err := PadInputs(net, d, d.Len())
+	if err != nil {
+		panic("nn: evaluate: " + err.Error())
+	}
 	units := (d.Len() + evalBatch - 1) / evalBatch
 	workers = min(workers, units)
 	idx := make([]int, d.Len())
@@ -331,22 +334,4 @@ func Evaluate(net *Network, d *dataset.Dataset, workers int) float64 {
 		total += c
 	}
 	return float64(total) / float64(d.Len())
-}
-
-// PenaltyValue returns the mean per-connection penalty of the network under p,
-// useful for monitoring convergence toward the poles.
-func PenaltyValue(net *Network, p Penalty) float64 {
-	total, count := 0.0, 0
-	for _, l := range net.Layers {
-		for _, c := range l.Cores {
-			for _, w := range c.W.Data {
-				total += p.Value(w, net.CMax)
-				count++
-			}
-		}
-	}
-	if count == 0 {
-		return 0
-	}
-	return total / float64(count)
 }

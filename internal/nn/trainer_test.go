@@ -2,7 +2,9 @@ package nn
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -176,9 +178,40 @@ func TestTrainDeterministicGivenSeedSingleWorker(t *testing.T) {
 func TestTrainRejectsEmptyDataset(t *testing.T) {
 	net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
 	empty := &dataset.Dataset{Name: "empty", FeatDim: 64, NumClasses: 2, Height: 8, Width: 8}
-	if _, err := Train(net, empty, DefaultTrainConfig()); err == nil {
+	cfg := TrainConfig{Epochs: 10, Batch: 32, LR: 0.1, Momentum: 0.9, LRDecay: 0.85, Penalty: NonePenalty{}, Seed: 1}
+	if _, err := Train(net, empty, cfg); err == nil {
 		t.Fatal("empty dataset accepted")
 	}
+}
+
+// TestTrainRejectsWiderDataset: an input wider than the network is an error
+// from Train and a panic from Evaluate, with the same text deploy reports.
+// Truncating it would train and score on a silently cropped input.
+func TestTrainRejectsWiderDataset(t *testing.T) {
+	wide := blobs(40, 3)
+	for i, x := range wide.X {
+		wide.X[i] = append(x, 0.5, 0.5, 0.5)
+	}
+	wide.FeatDim = 67
+	const want = "input 0 has 67 features, network takes 64"
+	net, _ := blobArch().Build(rng.NewPCG32(5, 5), 1)
+	before := net.Weights()
+	cfg := TrainConfig{Epochs: 1, Batch: 8, LR: 0.1, Momentum: 0.9, LRDecay: 0.9, Penalty: NonePenalty{}, Seed: 7, Workers: 2}
+	_, err := Train(net, wide, cfg)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Train error %v, want one containing %q", err, want)
+	}
+	for i, w := range net.Weights() {
+		if !sameBits(w, before[i]) {
+			t.Fatalf("parameter %d changed by a rejected run", i)
+		}
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+			t.Fatalf("Evaluate panic %v, want one containing %q", r, want)
+		}
+	}()
+	Evaluate(net, wide, 1)
 }
 
 // TestTrainRejectsBadConfig: settings Train and TrainMLP cannot run return an
@@ -289,7 +322,12 @@ func TestBiasedTrainingDrivesProbabilitiesToPoles(t *testing.T) {
 		t.Fatalf("only %.0f%% of probabilities near poles; biasing ineffective", frac*100)
 	}
 	// And the mean biased penalty must be small.
-	if v := PenaltyValue(net, NewBiasedPenalty()); v > 0.08 {
+	pen, total := NewBiasedPenalty(), 0.0
+	w := net.Weights()
+	for _, wi := range w {
+		total += pen.Value(wi, net.CMax)
+	}
+	if v := total / float64(len(w)); v > 0.08 {
 		t.Fatalf("mean biased penalty %v still high", v)
 	}
 }

@@ -137,23 +137,12 @@ func (e *ModelEntry) CacheKeys() []uint64 {
 type Registry struct {
 	mu       sync.RWMutex
 	models   map[string]*ModelEntry
-	cacheCap int
+	cacheCap int // sample-cache cap of models registered afterwards
 }
 
 // NewRegistry returns an empty registry with the default sample-cache cap.
 func NewRegistry() *Registry {
 	return &Registry{models: make(map[string]*ModelEntry), cacheCap: DefaultSampleCacheCap}
-}
-
-// SetSampleCacheCap bounds the per-model sampled-copy cache for models
-// registered afterwards (minimum 1).
-func (r *Registry) SetSampleCacheCap(cap int) {
-	if cap < 1 {
-		cap = 1
-	}
-	r.mu.Lock()
-	r.cacheCap = cap
-	r.mu.Unlock()
 }
 
 // Register validates net, compiles its deployment plan, and exposes it under

@@ -413,7 +413,7 @@ func TestRegistryLoadDirBothFormats(t *testing.T) {
 
 func TestRegistryDuplicateAndCacheEviction(t *testing.T) {
 	reg := NewRegistry()
-	reg.SetSampleCacheCap(2)
+	reg.cacheCap = 2
 	net := testNet(t, 7, 8, 4, 2)
 	e, err := reg.Register("m", net, nil)
 	if err != nil {

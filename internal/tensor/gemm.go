@@ -40,12 +40,7 @@ const (
 // Gemm computes dst = a * b (a: m x k, b: k x n, dst: m x n).
 // Row r of dst matches MatTVec-style accumulation: dst[r][j] sums
 // a[r][k]*b[k][j] over ascending k from a zero start.
-func Gemm(dst, a, b *Matrix) { gemmNN(dst, a, b, false) }
-
-// GemmAcc computes dst += a * b with the same ordering contract as Gemm.
-func GemmAcc(dst, a, b *Matrix) { gemmNN(dst, a, b, true) }
-
-func gemmNN(dst, a, b *Matrix, acc bool) {
+func Gemm(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: Gemm shape mismatch dst=%dx%d a=%dx%d b=%dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -55,12 +50,10 @@ func gemmNN(dst, a, b *Matrix, acc bool) {
 		for i := 0; i < a.Rows; i++ {
 			arow := a.Row(i)
 			crow := dst.Row(i)[j0:j1]
-			if !acc {
-				// Zeroing the destination segment just before accumulating
-				// into it keeps the zero pass cache-hot (fused first touch).
-				for j := range crow {
-					crow[j] = 0
-				}
+			// Zeroing the destination segment just before accumulating into
+			// it keeps the zero pass cache-hot (fused first touch).
+			for j := range crow {
+				crow[j] = 0
 			}
 			for k, av := range arow {
 				if av == 0 {
@@ -75,16 +68,7 @@ func gemmNN(dst, a, b *Matrix, acc bool) {
 	}
 }
 
-// GemmT computes dst = a * b^T (a: m x k, b: n x k, dst: m x n).
-// dst[i][j] is the MatVec dot-product chain of a's row i with b's row j:
-// a zero-started register accumulation over ascending k.
-func GemmT(dst, a, b *Matrix) { gemmNT(dst, a, b, false) }
-
-// GemmTAcc computes dst += a * b^T; each element continues its existing
-// value with the same ascending-k chain.
-func GemmTAcc(dst, a, b *Matrix) { gemmNT(dst, a, b, true) }
-
-// gemmScratch holds the compacted nonzero row panels gemmNT builds once per
+// gemmScratch holds the compacted nonzero row panels GemmT builds once per
 // call. Pooled so steady-state GemmT calls do not allocate.
 type gemmScratch struct {
 	ks  []int32
@@ -104,7 +88,10 @@ func (s *gemmScratch) ensure(rows, cols int) {
 	}
 }
 
-func gemmNT(dst, a, b *Matrix, acc bool) {
+// GemmT computes dst = a * b^T (a: m x k, b: n x k, dst: m x n).
+// dst[i][j] is the MatVec dot-product chain of a's row i with b's row j:
+// a zero-started register accumulation over ascending k.
+func GemmT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: GemmT shape mismatch dst=%dx%d a=%dx%d b=%dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -146,9 +133,6 @@ func gemmNT(dst, a, b *Matrix, acc bool) {
 				for ; j+4 <= j1; j += 4 {
 					b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
 					var s0, s1, s2, s3 float64
-					if acc {
-						s0, s1, s2, s3 = crow[j], crow[j+1], crow[j+2], crow[j+3]
-					}
 					for t, kk := range ks {
 						x := xs[t]
 						s0 += x * b0[kk]
@@ -161,9 +145,6 @@ func gemmNT(dst, a, b *Matrix, acc bool) {
 				for ; j < j1; j++ {
 					brow := b.Row(j)
 					var s float64
-					if acc {
-						s = crow[j]
-					}
 					for t, kk := range ks {
 						s += xs[t] * brow[kk]
 					}
@@ -175,9 +156,6 @@ func gemmNT(dst, a, b *Matrix, acc bool) {
 				for ; j+4 <= j1; j += 4 {
 					b0, b1, b2, b3 := b.Row(j), b.Row(j+1), b.Row(j+2), b.Row(j+3)
 					var s0, s1, s2, s3 float64
-					if acc {
-						s0, s1, s2, s3 = crow[j], crow[j+1], crow[j+2], crow[j+3]
-					}
 					for kk, av := range arow {
 						s0 += av * b0[kk]
 						s1 += av * b1[kk]
@@ -189,9 +167,6 @@ func gemmNT(dst, a, b *Matrix, acc bool) {
 				for ; j < j1; j++ {
 					brow := b.Row(j)
 					var s float64
-					if acc {
-						s = crow[j]
-					}
 					for kk, av := range arow {
 						s += av * brow[kk]
 					}
@@ -203,15 +178,11 @@ func gemmNT(dst, a, b *Matrix, acc bool) {
 	gemmScratchPool.Put(scr)
 }
 
-// GemmAT computes dst = a^T * b (a: s x m, b: s x n, dst: m x n).
-func GemmAT(dst, a, b *Matrix) { gemmAT(dst, a, b, false) }
-
-// GemmATAcc computes dst += a^T * b: the batched form of per-sample
-// OuterAcc(dst, 1, a.Row(k), b.Row(k)) calls in ascending sample (k) order,
-// including OuterAcc's identity-preserving skip of zero left operands.
-func GemmATAcc(dst, a, b *Matrix) { gemmAT(dst, a, b, true) }
-
-func gemmAT(dst, a, b *Matrix, acc bool) {
+// GemmAT computes dst = a^T * b (a: s x m, b: s x n, dst: m x n): the
+// batched form of per-sample OuterAcc(dst, 1, a.Row(k), b.Row(k)) calls on a
+// zeroed dst in ascending sample (k) order, including OuterAcc's
+// identity-preserving skip of zero left operands.
+func GemmAT(dst, a, b *Matrix) {
 	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: GemmAT shape mismatch dst=%dx%d a=%dx%d b=%dx%d",
 			dst.Rows, dst.Cols, a.Rows, a.Cols, b.Rows, b.Cols))
@@ -219,13 +190,11 @@ func gemmAT(dst, a, b *Matrix, acc bool) {
 	for i0 := 0; i0 < dst.Rows; i0 += gemmRowTile {
 		i1 := min(i0+gemmRowTile, dst.Rows)
 		// The dst row panel [i0,i1) stays hot while B streams once per panel;
-		// in overwrite mode the panel is zeroed on entry (fused first touch).
-		if !acc {
-			for i := i0; i < i1; i++ {
-				row := dst.Row(i)
-				for j := range row {
-					row[j] = 0
-				}
+		// the panel is zeroed on entry (fused first touch).
+		for i := i0; i < i1; i++ {
+			row := dst.Row(i)
+			for j := range row {
+				row[j] = 0
 			}
 		}
 		for k := 0; k < a.Rows; k++ {

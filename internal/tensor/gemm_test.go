@@ -143,7 +143,7 @@ func checkExact(t *testing.T, kernel string, got, want *Matrix, m, k, n int) {
 // TestGemmMatchesMatVecRowByRow is the property pin of the bit-exactness
 // contract: for random shapes, Gemm against a column vector equals MatVec
 // per row EXACTLY (not within tolerance), GemmT rows equal MatVec dots with
-// the transposed operand, and accumulating variants continue the chains.
+// the transposed operand, and GemmAT equals a sequence of OuterAcc calls.
 func TestGemmMatchesMatVecRowByRow(t *testing.T) {
 	src := rng.NewPCG32(29, 2)
 	for trial := 0; trial < 200; trial++ {
@@ -182,42 +182,21 @@ func TestGemmMatchesMatVecRowByRow(t *testing.T) {
 				t.Fatalf("trial %d: GemmT col %d = %v, dot %v", trial, j, gotT.At(0, j), s)
 			}
 		}
-		// GemmATAcc over sample rows == sequential OuterAcc calls.
+		// GemmAT over sample rows == sequential OuterAcc calls from zero,
+		// the MLP's batched weight gradient against its per-sample one. The
+		// destination starts dirty: GemmAT must overwrite it.
 		s := 1 + rng.Intn(src, 9)
 		n := 1 + rng.Intn(src, 40)
 		da := sparseMatrix(src, s, m, 0.5)
 		xb := sparseMatrix(src, s, n, 0.4)
 		gotA := sparseMatrix(src, m, n, 0.3)
-		wantA := gotA.Clone()
-		GemmATAcc(gotA, da, xb)
+		wantA := New(m, n)
+		GemmAT(gotA, da, xb)
 		for r := 0; r < s; r++ {
 			OuterAcc(wantA, 1, da.Row(r), xb.Row(r))
 		}
-		checkExact(t, "GemmATAcc vs OuterAcc", gotA, wantA, m, s, n)
+		checkExact(t, "GemmAT vs OuterAcc", gotA, wantA, m, s, n)
 	}
-}
-
-func TestGemmAccContinuesChain(t *testing.T) {
-	src := rng.NewPCG32(5, 5)
-	a := sparseMatrix(src, 7, 13, 0.3)
-	b := sparseMatrix(src, 13, 9, 0.3)
-	seed := sparseMatrix(src, 7, 9, 0)
-	got := seed.Clone()
-	GemmAcc(got, a, b)
-	want := seed.Clone()
-	for i := 0; i < 7; i++ {
-		for j := 0; j < 9; j++ {
-			s := want.At(i, j)
-			for k := 0; k < 13; k++ {
-				s += a.At(i, k) * b.At(k, j)
-			}
-			want.Set(i, j, s)
-		}
-	}
-	checkExact(t, "GemmAcc", got, want, 7, 13, 9)
-	gotT := seed.Clone()
-	GemmTAcc(gotT, a, transpose(b))
-	checkExact(t, "GemmTAcc", gotT, want, 7, 13, 9)
 }
 
 func TestGemmPanicsOnShape(t *testing.T) {

@@ -136,28 +136,6 @@ func MatTVec(dst []float64, m *Matrix, x []float64) {
 	}
 }
 
-// MatMul computes C = A * B and returns C (A: m x k, B: k x n).
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
-	}
-	c := New(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		crow := c.Row(i)
-		for k, av := range arow {
-			if av == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bv := range brow {
-				crow[j] += av * bv
-			}
-		}
-	}
-	return c
-}
-
 // OuterAcc accumulates dst += alpha * x * y^T (x: rows, y: cols of dst).
 func OuterAcc(dst *Matrix, alpha float64, x, y []float64) {
 	if len(x) != dst.Rows || len(y) != dst.Cols {
@@ -195,13 +173,6 @@ func Dot(a, b []float64) float64 {
 		s += v * b[i]
 	}
 	return s
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(x []float64, alpha float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
 }
 
 // Sum returns the sum of all elements.
@@ -246,13 +217,6 @@ func Clamp(v, lo, hi float64) float64 {
 	return v
 }
 
-// ClampSlice clamps every element of x to [lo, hi] in place.
-func ClampSlice(x []float64, lo, hi float64) {
-	for i, v := range x {
-		x[i] = Clamp(v, lo, hi)
-	}
-}
-
 // Softmax writes softmax(x) into dst (dst may alias x). Numerically stable.
 func Softmax(dst, x []float64) {
 	if len(dst) != len(x) {
@@ -268,16 +232,6 @@ func Softmax(dst, x []float64) {
 	for i := range dst {
 		dst[i] /= z
 	}
-}
-
-// LogSumExp returns log(sum(exp(x))) stably.
-func LogSumExp(x []float64) float64 {
-	m := x[ArgMax(x)]
-	var z float64
-	for _, v := range x {
-		z += math.Exp(v - m)
-	}
-	return m + math.Log(z)
 }
 
 // Histogram counts x into bins equal-width bins over [lo, hi]. Values at hi

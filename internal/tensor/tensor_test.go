@@ -136,43 +136,6 @@ func TestMatVecTransposeConsistency(t *testing.T) {
 	}
 }
 
-func TestMatMulKnown(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
-	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
-	c := MatMul(a, b)
-	want := FromSlice(2, 2, []float64{19, 22, 43, 50})
-	if !c.Equal(want, 1e-12) {
-		t.Fatalf("MatMul = %+v", c)
-	}
-}
-
-func TestMatMulMatchesMatVec(t *testing.T) {
-	src := rng.NewPCG32(3, 3)
-	a := randomMatrix(src, 5, 7)
-	x := make([]float64, 7)
-	for i := range x {
-		x[i] = rng.Float64(src)
-	}
-	b := FromSlice(7, 1, x)
-	c := MatMul(a, b)
-	dst := make([]float64, 5)
-	MatVec(dst, a, x)
-	for i := range dst {
-		if math.Abs(c.At(i, 0)-dst[i]) > 1e-12 {
-			t.Fatalf("MatMul/MatVec disagree at %d", i)
-		}
-	}
-}
-
-func TestMatMulPanicsOnShape(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatMul(New(2, 3), New(2, 3))
-}
-
 func TestOuterAcc(t *testing.T) {
 	m := New(2, 3)
 	OuterAcc(m, 2, []float64{1, 2}, []float64{3, 4, 5})
@@ -194,8 +157,7 @@ func TestAxpyDot(t *testing.T) {
 }
 
 func TestScaleSumMean(t *testing.T) {
-	x := []float64{1, 2, 3}
-	Scale(x, 2)
+	x := []float64{2, 4, 6}
 	if Sum(x) != 12 {
 		t.Fatalf("sum %v", Sum(x))
 	}
@@ -222,11 +184,6 @@ func TestArgMax(t *testing.T) {
 func TestClamp(t *testing.T) {
 	if Clamp(5, 0, 1) != 1 || Clamp(-5, 0, 1) != 0 || Clamp(0.5, 0, 1) != 0.5 {
 		t.Fatal("clamp wrong")
-	}
-	x := []float64{-2, 0.5, 2}
-	ClampSlice(x, 0, 1)
-	if x[0] != 0 || x[1] != 0.5 || x[2] != 1 {
-		t.Fatalf("ClampSlice = %v", x)
 	}
 }
 
@@ -266,18 +223,6 @@ func TestSoftmaxShiftInvariance(t *testing.T) {
 		if math.Abs(a[i]-b[i]) > 1e-12 {
 			t.Fatal("softmax not shift invariant")
 		}
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	x := []float64{0, 0}
-	if math.Abs(LogSumExp(x)-math.Log(2)) > 1e-12 {
-		t.Fatal("LogSumExp wrong")
-	}
-	// Large values must not overflow.
-	y := []float64{1000, 1000}
-	if math.Abs(LogSumExp(y)-(1000+math.Log(2))) > 1e-9 {
-		t.Fatal("LogSumExp unstable")
 	}
 }
 

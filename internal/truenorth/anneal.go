@@ -91,10 +91,6 @@ func PlaceHilbert(numCores int) (*Placement, error) {
 	return p, nil
 }
 
-// Swap exchanges the slots of logical cores a and b. The placement stays a
-// bijection by construction (pinned by placement_test.go's property tests).
-func (p *Placement) Swap(a, b int) { p.swap(a, b) }
-
 // Anneal refines the placement by simulated annealing over pairwise swaps:
 // sweeps*n proposed swaps under a geometric cooling schedule, Metropolis
 // acceptance, every draw from the dedicated annealStream of seed. Swap deltas

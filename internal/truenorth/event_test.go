@@ -237,7 +237,7 @@ func attachTestNoC(t *testing.T, ch *Chip, seed uint64) {
 	}
 	src := rng.NewPCG32(seed, 601)
 	for k := 0; k < 3*n; k++ {
-		p.Swap(rng.Intn(src, n), rng.Intn(src, n))
+		p.swap(rng.Intn(src, n), rng.Intn(src, n))
 	}
 	if err := ch.SetNoC(p); err != nil {
 		t.Fatal(err)
@@ -245,7 +245,7 @@ func attachTestNoC(t *testing.T, ch *Chip, seed uint64) {
 }
 
 // checkNoCEqual compares two chips' NoC observers bit for bit: routed-spike
-// and hop totals, per-source-core counts and every per-link counter. Kept
+// and hop totals and every per-link counter. Kept
 // separate from checkChipsEqual so the latter can also compare a NoC-on chip
 // against a NoC-off one (the observer-only contract).
 func checkNoCEqual(t *testing.T, tick int, a, b *Chip) {
@@ -259,9 +259,6 @@ func checkNoCEqual(t *testing.T, tick int, a, b *Chip) {
 	if a.noc.Spikes != b.noc.Spikes || a.noc.Hops != b.noc.Hops {
 		t.Fatalf("tick %d: NoC spikes/hops %d/%d vs %d/%d",
 			tick, a.noc.Spikes, a.noc.Hops, b.noc.Spikes, b.noc.Hops)
-	}
-	if !reflect.DeepEqual(a.noc.CoreSpikes, b.noc.CoreSpikes) {
-		t.Fatalf("tick %d: NoC per-core spike counts diverged", tick)
 	}
 	if !reflect.DeepEqual(a.noc.HLink, b.noc.HLink) || !reflect.DeepEqual(a.noc.VLink, b.noc.VLink) {
 		t.Fatalf("tick %d: NoC link counters diverged", tick)
@@ -361,9 +358,6 @@ func TestNoCHandComputed(t *testing.T) {
 			if noc.Spikes != 1 || noc.Hops != 5 {
 				t.Fatalf("routed %d spikes / %d hops, want 1 / 5", noc.Spikes, noc.Hops)
 			}
-			if !reflect.DeepEqual(noc.CoreSpikes, []int64{1, 0}) {
-				t.Fatalf("per-core spikes %v", noc.CoreSpikes)
-			}
 			// X-then-Y from (0,0) to (2,3): horizontal links (0,0-1-2-3) on
 			// row 0, vertical links (0-1,3) and (1-2,3) on column 3.
 			for c := 0; c < 3; c++ {
@@ -382,12 +376,6 @@ func TestNoCHandComputed(t *testing.T) {
 			if got := noc.MeanHopsPerSpike(); got != 5 {
 				t.Fatalf("mean hops %v, want 5", got)
 			}
-			if got, want := noc.EnergyJoules(), 5*HopEnergyJoules; got != want {
-				t.Fatalf("energy %g, want %g", got, want)
-			}
-			if got, want := noc.DeliveryLatencySeconds(), 5*HopLatencySeconds; got != want {
-				t.Fatalf("latency %g, want %g", got, want)
-			}
 			// ResetActivity zeroes counters but keeps the placement attached.
 			ch.ResetActivity()
 			if noc := ch.NoC(); noc == nil || noc.Spikes != 0 || noc.Hops != 0 || noc.MaxLinkLoad() != 0 {
@@ -396,11 +384,6 @@ func TestNoCHandComputed(t *testing.T) {
 			if ch.NoC().Placement() == nil {
 				t.Fatal("reset dropped the placement")
 			}
-			ch.ClearNoC()
-			if ch.NoC() != nil {
-				t.Fatal("ClearNoC did not detach")
-			}
-			tc.tick(ch) // must not panic with the observer detached
 		})
 	}
 }

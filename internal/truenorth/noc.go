@@ -31,7 +31,7 @@ const (
 	// packet across one mesh link.
 	HopEnergyJoules = 2e-12
 	// HopLatencySeconds is the modeled per-router forwarding latency used
-	// for the optional delivery-latency estimate.
+	// for the delivery-latency estimate.
 	HopLatencySeconds = 5e-9
 )
 
@@ -47,10 +47,6 @@ type NoCStats struct {
 	Spikes int64
 	// Hops is the total Manhattan link crossings over all routed spikes.
 	Hops int64
-	// CoreSpikes[i] counts routed spikes emitted by logical core i — the
-	// measured per-core rate signal TrafficMatrix can fold back into
-	// placement weights.
-	CoreSpikes []int64
 	// HLink[row*(GridSide-1)+c] counts crossings of the horizontal link
 	// between (row, c) and (row, c+1).
 	HLink []int64
@@ -65,7 +61,7 @@ type NoCStats struct {
 // unknown to the observer.
 func (ch *Chip) SetNoC(p *Placement) error {
 	if p == nil {
-		return fmt.Errorf("truenorth: SetNoC requires a placement (use ClearNoC to detach)")
+		return fmt.Errorf("truenorth: SetNoC requires a placement")
 	}
 	if len(p.Slot) < len(ch.cores) {
 		return fmt.Errorf("truenorth: placement covers %d cores, chip has %d", len(p.Slot), len(ch.cores))
@@ -76,19 +72,15 @@ func (ch *Chip) SetNoC(p *Placement) error {
 		}
 	}
 	ch.noc = &NoCStats{
-		place:      p,
-		CoreSpikes: make([]int64, len(ch.cores)),
-		HLink:      make([]int64, GridSide*(GridSide-1)),
-		VLink:      make([]int64, (GridSide-1)*GridSide),
+		place: p,
+		HLink: make([]int64, GridSide*(GridSide-1)),
+		VLink: make([]int64, (GridSide-1)*GridSide),
 	}
 	return nil
 }
 
 // NoC returns the attached observer, or nil when accounting is off.
 func (ch *Chip) NoC() *NoCStats { return ch.noc }
-
-// ClearNoC detaches the observer.
-func (ch *Chip) ClearNoC() { ch.noc = nil }
 
 // Placement returns the placement the observer routes over.
 func (s *NoCStats) Placement() *Placement { return s.place }
@@ -99,7 +91,6 @@ func (s *NoCStats) Placement() *Placement { return s.place }
 func (s *NoCStats) record(src, dst, n int) {
 	nn := int64(n)
 	s.Spikes += nn
-	s.CoreSpikes[src] += nn
 	a, b := s.place.Slot[src], s.place.Slot[dst]
 	s.Hops += int64(abs(a.Row-b.Row)+abs(a.Col-b.Col)) * nn
 	// X first: horizontal links along the source row...
@@ -124,9 +115,6 @@ func (s *NoCStats) record(src, dst, n int) {
 // reset zeroes all counters, keeping the placement attached.
 func (s *NoCStats) reset() {
 	s.Spikes, s.Hops = 0, 0
-	for i := range s.CoreSpikes {
-		s.CoreSpikes[i] = 0
-	}
 	for i := range s.HLink {
 		s.HLink[i] = 0
 	}
@@ -161,25 +149,12 @@ func (s *NoCStats) MeanHopsPerSpike() float64 {
 	return float64(s.Hops) / float64(s.Spikes)
 }
 
-// EnergyJoules estimates the dynamic routing energy of the accumulated
-// traffic (HopEnergyJoules per link crossing).
-func (s *NoCStats) EnergyJoules() float64 { return float64(s.Hops) * HopEnergyJoules }
-
-// DeliveryLatencySeconds estimates the mean per-spike delivery latency
-// (HopLatencySeconds per router hop on the mean route).
-func (s *NoCStats) DeliveryLatencySeconds() float64 {
-	return s.MeanHopsPerSpike() * HopLatencySeconds
-}
-
 // TrafficMatrix derives the logical core-to-core traffic of the chip's static
 // routing tables: one Traffic edge per (src, dst) pair carrying the number of
-// src neurons wired to dst. When rates is non-nil, each source core's edges
-// are scaled by rates[src] — typically NoCStats.CoreSpikes normalized per
-// tick, folding measured activity back into the static fan-out weights.
-// Off-chip (External) and Unrouted targets never enter the mesh and are
-// excluded. Edges are emitted in ascending (src, dst) order, zero-weight
-// edges dropped, so the result is deterministic for a given chip.
-func (ch *Chip) TrafficMatrix(rates []float64) []Traffic {
+// src neurons wired to dst. Off-chip (External) and Unrouted targets never
+// enter the mesh and are excluded. Edges are emitted in ascending (src, dst)
+// order, so the result is deterministic for a given chip.
+func (ch *Chip) TrafficMatrix() []Traffic {
 	var out []Traffic
 	var dsts []int
 	for i := range ch.cores {
@@ -195,14 +170,8 @@ func (ch *Chip) TrafficMatrix(rates []float64) []Traffic {
 			counts[t.Core]++
 		}
 		sort.Ints(dsts)
-		scale := 1.0
-		if rates != nil && i < len(rates) {
-			scale = rates[i]
-		}
 		for _, d := range dsts {
-			if w := counts[d] * scale; w > 0 {
-				out = append(out, Traffic{Src: i, Dst: d, Weight: w})
-			}
+			out = append(out, Traffic{Src: i, Dst: d, Weight: counts[d]})
 		}
 	}
 	return out

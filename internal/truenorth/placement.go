@@ -89,6 +89,8 @@ func PlaceRowMajor(numCores int) (*Placement, error) {
 	return p, nil
 }
 
+// swap exchanges the slots of logical cores a and b. The placement stays a
+// bijection by construction (pinned by placement_test.go's property tests).
 func (p *Placement) swap(a, b int) {
 	p.Slot[a], p.Slot[b] = p.Slot[b], p.Slot[a]
 	p.used[p.Slot[a]] = a

@@ -42,7 +42,7 @@ func FuzzPlacementTraffic(f *testing.F) {
 		}
 		nSwaps := int(next()) % 32
 		for k := 0; k < nSwaps; k++ {
-			p.Swap(int(next())%n, int(next())%n)
+			p.swap(int(next())%n, int(next())%n)
 		}
 		var traffic []Traffic
 		for len(data) >= 3 && len(traffic) < 256 {

@@ -160,7 +160,7 @@ func TestPlacementBijectionUnderOps(t *testing.T) {
 			}
 		}
 		for k := 0; k < 50; k++ {
-			p.Swap(rng.Intn(src, n), rng.Intn(src, n))
+			p.swap(rng.Intn(src, n), rng.Intn(src, n))
 		}
 		p.Anneal(randomTraffic(src, n, 3*n), seed, 1)
 		checkBijection(t, p)
@@ -183,7 +183,7 @@ func TestAnnealNeverWorsens(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < 30; k++ {
-			p.Swap(rng.Intn(src, n), rng.Intn(src, n))
+			p.swap(rng.Intn(src, n), rng.Intn(src, n))
 		}
 		traffic := randomTraffic(src, n, 4*n)
 		before := p.WireCost(traffic)
@@ -254,7 +254,7 @@ func TestLinkLoadConservation(t *testing.T) {
 			t.Fatal(err)
 		}
 		for k := 0; k < 40; k++ {
-			p.Swap(rng.Intn(src, n), rng.Intn(src, n))
+			p.swap(rng.Intn(src, n), rng.Intn(src, n))
 		}
 		traffic := randomTraffic(src, n, 5*n)
 		lp := p.LinkLoads(traffic)
