@@ -89,14 +89,6 @@ func (d *Dataset) ClassCounts() []int {
 	return counts
 }
 
-// Grid returns sample i as a dense Height*Width grid (zero padded past
-// FeatDim), in row-major order.
-func (d *Dataset) Grid(i int) []float64 {
-	g := make([]float64, d.Height*d.Width)
-	copy(g, d.X[i])
-	return g
-}
-
 // BlockSpec describes the tiling of a Height x Width feature grid into
 // square blocks of side Block at the given Stride, exactly the "block stride"
 // column of Table 3. Each block maps to one neuro-synaptic core.

@@ -86,18 +86,6 @@ func TestClassCounts(t *testing.T) {
 	}
 }
 
-func TestGridZeroPads(t *testing.T) {
-	d := tiny()
-	d.Height, d.Width = 3, 2 // 6 cells, 4 features
-	g := d.Grid(0)
-	if len(g) != 6 || g[4] != 0 || g[5] != 0 {
-		t.Fatalf("grid %v", g)
-	}
-	if g[0] != 0 || g[1] != 1 || g[2] != 0.5 {
-		t.Fatalf("grid prefix %v", g)
-	}
-}
-
 // Table 3 geometry: every bench's (stride -> cores) pair from the paper.
 func TestBlockSpecPaperGeometry(t *testing.T) {
 	cases := []struct {

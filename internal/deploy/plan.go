@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"math"
+	"math/bits"
 
 	"repro/internal/nn"
 	"repro/internal/rng"
@@ -40,7 +41,11 @@ type QuantPlan struct {
 	classes int
 	classOf []int
 	classN  []int
-	layers  []*planLayer
+	// classMask holds one bit mask over the final layer's outputs per
+	// class: class k's words are classMask[k*w:(k+1)*w], w the output
+	// width in words, with bit g set when classOf[g] == k.
+	classMask []uint64
+	layers    []*planLayer
 }
 
 // planLayer mirrors one CoreLayer of the trained network.
@@ -209,12 +214,28 @@ func CompileQuantPerturbed(net *nn.Network, perturb WeightPerturber) *QuantPlan 
 	last := qp.layers[len(qp.layers)-1]
 	qp.classOf = make([]int, last.outDim)
 	qp.classN = make([]int, ro.Classes)
+	w := (last.outDim + 63) / 64
+	qp.classMask = make([]uint64, ro.Classes*w)
 	for g := 0; g < last.outDim; g++ {
 		k := ro.Assignment(g)
 		qp.classOf[g] = k
 		qp.classN[k]++
+		qp.classMask[k*w+g>>6] |= 1 << (uint(g) & 63)
 	}
 	return qp
+}
+
+// countClasses adds the final layer's spikes out to their classes' counts.
+func (qp *QuantPlan) countClasses(out truenorth.BitVec, counts []int64) {
+	w := len(out)
+	for k := 0; k < qp.classes; k++ {
+		m := qp.classMask[k*w : (k+1)*w]
+		n := 0
+		for i, x := range out {
+			n += bits.OnesCount64(x & m[i])
+		}
+		counts[k] += int64(n)
+	}
 }
 
 // fireThreshold returns the smallest popcount difference d satisfying
@@ -298,6 +319,8 @@ func (qp *QuantPlan) NewFrameScratch() *FrameScratch {
 		fs.local = append(fs.local, truenorth.NewBitVec(maxAxons))
 	}
 	fs.thr = make([]int32, maxNeurons)
+	fs.fire = make([]uint8, maxNeurons/8)
+	fs.band = make([]uint8, maxNeurons/8)
 	return fs
 }
 

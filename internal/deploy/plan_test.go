@@ -234,26 +234,53 @@ func randomCore(src *rng.PCG32, in []int, neurons, exports int, cmax float64) *n
 	return &nn.CoreSpec{In: in, W: w, Bias: bias, Exports: exports}
 }
 
-// randomWideNet builds a one-layer network of paper-sized cores: 1-2 cores
+// randomWideNet builds a network of paper-sized cores: 1-2 cores per layer
 // of 129-256 axons (3- and 4-word masks, the latter taking Tick's unrolled
-// branch) and up to 256 neurons, so leak-draw offsets span a full table.
-func randomWideNet(src *rng.PCG32, cmax float64) *nn.Network {
+// branch and vector kernel) and up to 256 neurons, so leak-draw offsets span
+// a full table. A one-layer net's cores export every neuron. In a two-layer
+// net the first layer has two 4-word cores of 97-256 neurons, each
+// exporting a count that is not a multiple of 8 and often below its neuron
+// count, so the second core's kernel blocks straddle output words; the
+// second layer reads a window of those outputs.
+func randomWideNet(src *rng.PCG32, cmax float64, layers int) *nn.Network {
 	dim := 256 + rng.Intn(src, 65)
-	l := &nn.CoreLayer{InDim: dim}
-	for ci, cores := 0, 1+rng.Intn(src, 2); ci < cores; ci++ {
-		axons := 129 + rng.Intn(src, 128)
-		in := rng.Perm(src, dim)[:axons]
-		if rng.Intn(src, 2) == 0 { // contiguous window
-			start := rng.Intn(src, dim-axons+1)
-			for a := range in {
-				in[a] = start + a
-			}
+	net := &nn.Network{CMax: cmax, SigmaFloor: 1e-3}
+	for li := 0; li < layers; li++ {
+		l := &nn.CoreLayer{InDim: dim}
+		last := li == layers-1
+		cores := 2
+		if last {
+			cores = 1 + rng.Intn(src, 2)
 		}
-		neurons := 1 + rng.Intn(src, 256)
-		l.Cores = append(l.Cores, randomCore(src, in, neurons, neurons, cmax))
+		for ci := 0; ci < cores; ci++ {
+			var axons int
+			if last {
+				axons = 129 + rng.Intn(src, min(128, dim-128))
+			} else {
+				axons = 193 + rng.Intn(src, 64) // 4 words
+			}
+			in := rng.Perm(src, dim)[:axons]
+			if rng.Intn(src, 2) == 0 { // contiguous window
+				start := rng.Intn(src, dim-axons+1)
+				for a := range in {
+					in[a] = start + a
+				}
+			}
+			neurons := 1 + rng.Intn(src, 256)
+			exports := neurons
+			if !last {
+				neurons = 97 + rng.Intn(src, 160)
+				exports = neurons - rng.Intn(src, neurons-96)
+				if exports%8 == 0 {
+					exports--
+				}
+			}
+			l.Cores = append(l.Cores, randomCore(src, in, neurons, exports, cmax))
+		}
+		net.Layers = append(net.Layers, l)
+		dim = l.OutDim()
 	}
-	net := &nn.Network{CMax: cmax, SigmaFloor: 1e-3, Layers: []*nn.CoreLayer{l}}
-	net.Readout = nn.NewMergeReadout(l.OutDim(), 2+rng.Intn(src, 3), 1)
+	net.Readout = nn.NewMergeReadout(dim, 2+rng.Intn(src, 3), 1)
 	return net
 }
 
@@ -262,9 +289,15 @@ func randomWideNet(src *rng.PCG32, cmax float64) *nn.Network {
 // (connectivity masks and generator state) and the reference Frame outputs
 // (class counts and generator state) bit-identically, for stochastic and
 // rounded leak, spf 1 and 3. Further trials cover paper-sized cores (the
-// leak-draw jump-ahead at offsets up to 256 and the unrolled 4-word branch)
-// at cmax 1 and > 1, and an LFSR16 frame source.
+// leak-draw jump-ahead at offsets up to 256 and the 4-word branch) at cmax 1
+// and > 1, in one layer and in two layers whose first cores export fewer
+// neurons than they hold and straddle output words, and an LFSR16 frame
+// source. It runs on the scalar popcount loop and on the vector kernel.
 func TestCompiledPathMatchesReferenceRandomized(t *testing.T) {
+	onTickPaths(t, testCompiledPathMatchesReferenceRandomized)
+}
+
+func testCompiledPathMatchesReferenceRandomized(t *testing.T) {
 	meta := rng.NewPCG32(20260728, 1)
 	for trial := 0; trial < 50; trial++ {
 		cfg := SampleConfig{StochasticLeak: trial%2 == 0}
@@ -275,7 +308,7 @@ func TestCompiledPathMatchesReferenceRandomized(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		cmax := []float64{1, 3}[trial%2]
 		cfg := SampleConfig{StochasticLeak: trial%4 < 2}
-		net := randomWideNet(meta, cmax)
+		net := randomWideNet(meta, cmax, 1)
 		for _, c := range net.Layers[0].Cores {
 			if len(c.In) > 192 {
 				w4++
@@ -287,8 +320,29 @@ func TestCompiledPathMatchesReferenceRandomized(t *testing.T) {
 	if w4 == 0 {
 		t.Fatal("no wide trial drew a 4-word core")
 	}
-	checkCompiledMatchesReference(t, "lfsr trial", randomWideNet(meta, 2), DefaultSampleConfig(), 5000, meta,
+	checkCompiledMatchesReference(t, "lfsr trial", randomWideNet(meta, 2, 1), DefaultSampleConfig(), 5000, meta,
 		func(spf int) rng.Source { return rng.NewLFSR16(uint64(6000 + spf)) })
+	deep4, short := 0, 0
+	for trial := 0; trial < 8; trial++ {
+		cmax := []float64{1, 2}[trial%2]
+		cfg := SampleConfig{StochasticLeak: trial%4 < 3}
+		net := randomWideNet(meta, cmax, 2)
+		for _, c := range net.Layers[0].Cores {
+			if c.Exports < c.Neurons() {
+				short++
+			}
+		}
+		for _, c := range net.Layers[1].Cores {
+			if len(c.In) > 192 {
+				deep4++
+			}
+		}
+		checkCompiledMatchesReference(t, fmt.Sprintf("two-layer trial %d", trial), net, cfg, uint64(7000+trial), meta,
+			func(spf int) rng.Source { return rng.NewPCG32(uint64(8000+trial), uint64(spf)) })
+	}
+	if deep4 == 0 || short == 0 {
+		t.Fatalf("two-layer trials drew %d second-layer 4-word cores and %d cores exporting fewer neurons than they hold; both must be > 0", deep4, short)
+	}
 }
 
 // checkCompiledMatchesReference samples net on the compiled and the

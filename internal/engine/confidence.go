@@ -141,9 +141,6 @@ func (g *Gate) Observe(votes []int64) {
 	g.m++
 }
 
-// Copies returns the number of copies observed since Reset.
-func (g *Gate) Copies() int { return g.m }
-
 // Leader returns the argmax class of the accumulated vote totals under the
 // same normalization and tie-breaking as SampledNet.DecideClass (ties resolve
 // to the lowest class index), evaluated with exact integer cross products.

@@ -199,9 +199,6 @@ func New(p Predictor, cfg Config) *Engine {
 	return e
 }
 
-// Predictor returns the predictor this engine serves.
-func (e *Engine) Predictor() Predictor { return e.p }
-
 // Classify returns the predicted class of every input, using spf temporal
 // samples per frame (spf >= 1). Item i draws all randomness from
 // root.Split(i), so predictions are deterministic given root and independent

@@ -37,9 +37,6 @@ func NewMLP(src *rng.PCG32, sizes ...int) *MLP {
 	return m
 }
 
-// Layers returns the number of weight layers.
-func (m *MLP) Layers() int { return len(m.W) }
-
 // forward computes activations; acts[0] is the input, acts[L] the logits.
 // This is the per-sample reference path (Predict, gradient checks); the
 // training loop runs forwardBatch.

@@ -184,14 +184,6 @@ func Sum(x []float64) float64 {
 	return s
 }
 
-// Mean returns the arithmetic mean, or 0 for an empty slice.
-func Mean(x []float64) float64 {
-	if len(x) == 0 {
-		return 0
-	}
-	return Sum(x) / float64(len(x))
-}
-
 // ArgMax returns the index of the first maximal element (-1 for empty input).
 func ArgMax(x []float64) int {
 	if len(x) == 0 {

@@ -161,12 +161,6 @@ func TestScaleSumMean(t *testing.T) {
 	if Sum(x) != 12 {
 		t.Fatalf("sum %v", Sum(x))
 	}
-	if Mean(x) != 4 {
-		t.Fatalf("mean %v", Mean(x))
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("empty mean")
-	}
 }
 
 func TestArgMax(t *testing.T) {

@@ -381,7 +381,7 @@ func TestNoCHandComputed(t *testing.T) {
 			if noc := ch.NoC(); noc == nil || noc.Spikes != 0 || noc.Hops != 0 || noc.MaxLinkLoad() != 0 {
 				t.Fatalf("reset left NoC state %+v", noc)
 			}
-			if ch.NoC().Placement() == nil {
+			if ch.NoC().place == nil {
 				t.Fatal("reset dropped the placement")
 			}
 		})

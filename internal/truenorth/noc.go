@@ -82,9 +82,6 @@ func (ch *Chip) SetNoC(p *Placement) error {
 // NoC returns the attached observer, or nil when accounting is off.
 func (ch *Chip) NoC() *NoCStats { return ch.noc }
 
-// Placement returns the placement the observer routes over.
-func (s *NoCStats) Placement() *Placement { return s.place }
-
 // record charges n spikes from logical core src to logical core dst. Only
 // additive integer counter updates — order-insensitive, so the two tick
 // paths' different accumulation orders cannot diverge.
