@@ -10,6 +10,7 @@
 package repro
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -256,8 +257,8 @@ func BenchmarkDeployFrame(b *testing.B) {
 }
 
 // BenchmarkDeployFrameSPF2 is BenchmarkDeployFrame at 2 spikes per frame:
-// multi-tick frames encode through the compiled per-frame plan, the path
-// every surface and served request with spf >= 2 takes.
+// the frame's compiled spike code is drawn twice, as on every multi-tick
+// surface cell and served request.
 func BenchmarkDeployFrameSPF2(b *testing.B) {
 	r := runner(b)
 	bench, _ := eval.BenchByID(1)
@@ -501,8 +502,10 @@ func BenchmarkSampleCopy(b *testing.B) {
 	}
 }
 
-// BenchmarkEncodeInput measures input spike encoding of one 4-tick frame:
-// tick 0 compiles the per-frame threshold plan, ticks 1-3 replay it.
+// BenchmarkEncodeInput measures input spike encoding (Eq. 8) of one frame
+// of a bench-1 digit: tick 0 compiles the frame's spike code, later ticks
+// replay it. spf=1 is a compile and one draw per frame; spf=4 amortizes the
+// compile over four draws.
 func BenchmarkEncodeInput(b *testing.B) {
 	r := runner(b)
 	bench, _ := eval.BenchByID(1)
@@ -512,17 +515,19 @@ func BenchmarkEncodeInput(b *testing.B) {
 	}
 	_, test := r.Data(bench)
 	sn := deploy.Sample(m.Net, rng.NewPCG32(1, 1), deploy.DefaultSampleConfig())
-	fs := sn.NewFrameScratch()
-	src := rng.NewPCG32(2, 2)
 	x := make([]float64, 28*28)
 	copy(x, test.X[0])
-	const spf = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for t := 0; t < spf; t++ {
-			sn.EncodeFrameTick(fs, x, t, spf, src)
-		}
+	for _, spf := range []int{1, 4} {
+		b.Run(fmt.Sprintf("spf=%d", spf), func(b *testing.B) {
+			fs := sn.NewFrameScratch()
+			src := rng.NewPCG32(2, 2)
+			b.ReportAllocs()
+			for b.Loop() {
+				for t := 0; t < spf; t++ {
+					sn.EncodeFrameTick(fs, x, t, spf, src)
+				}
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/nn"
@@ -62,10 +63,11 @@ func TestChipMatchesFastPathSingleLayer(t *testing.T) {
 	}
 }
 
-func TestChipMatchesFastPathMultiLayerWithFanout(t *testing.T) {
-	// Two-layer network with overlapping windows (fan-out > 1), integer
-	// biases, binary input: the chip's duplicated neurons must reproduce the
-	// fast path exactly.
+// fanoutIntegerNet builds a two-layer 64-input network with overlapping
+// windows (fan-out > 1) and integer biases, so the lowered chip duplicates
+// neurons and draws no leak randomness.
+func fanoutIntegerNet(t *testing.T) *nn.Network {
+	t.Helper()
 	realArch := &nn.Arch{
 		Name: "fanout", InputH: 8, InputW: 8, Block: 4, Stride: 2,
 		CoreSize: 16, Classes: 2, Tau: 4,
@@ -83,7 +85,14 @@ func TestChipMatchesFastPathMultiLayerWithFanout(t *testing.T) {
 			}
 		}
 	}
-	sn := Sample(net, rng.NewPCG32(10, 10), DefaultSampleConfig())
+	return net
+}
+
+func TestChipMatchesFastPathMultiLayerWithFanout(t *testing.T) {
+	// Two-layer network with overlapping windows (fan-out > 1), integer
+	// biases, binary input: the chip's duplicated neurons must reproduce the
+	// fast path exactly.
+	sn := Sample(fanoutIntegerNet(t), rng.NewPCG32(10, 10), DefaultSampleConfig())
 	cn, err := BuildChip(sn, MapSigned, 11)
 	if err != nil {
 		t.Fatal(err)
@@ -96,6 +105,57 @@ func TestChipMatchesFastPathMultiLayerWithFanout(t *testing.T) {
 	for k := range fast {
 		if fast[k] != chip[k] {
 			t.Fatalf("class %d: fast %d vs chip %d", k, fast[k], chip[k])
+		}
+	}
+}
+
+// fractionalInput returns an n-pixel input mixing the Eq. 8 edge values 0,
+// 1, 1.5 and -0.25 (no draw, or a saturated pixel) with uniform intensities
+// in (0,1), which draw one word each per tick.
+func fractionalInput(n int, src *rng.PCG32) []float64 {
+	edges := []float64{0, 1, 1.5, -0.25}
+	x := make([]float64, n)
+	for i := range x {
+		if k := rng.Intn(src, 2*len(edges)); k < len(edges) {
+			x[i] = edges[k]
+		} else {
+			x[i] = rng.Float64(src)
+		}
+	}
+	return x
+}
+
+// TestChipMatchesFastPathFractionalInput: with fractional pixels both paths
+// draw their Eq. 8 input spikes from one shared stream. On integer-leak nets
+// (one layer, and two layers with fan-out) that stream is the only
+// randomness, so the chip must read exactly the fast path's input words:
+// equal class counts and an equal next generator word.
+func TestChipMatchesFastPathFractionalInput(t *testing.T) {
+	nets := map[string]*nn.Network{
+		"single-layer": integerBiasNet(8, 12, 2, 3),
+		"fanout":       fanoutIntegerNet(t),
+	}
+	for name, net := range nets {
+		sn := Sample(net, rng.NewPCG32(4, 4), DefaultSampleConfig())
+		cn, err := BuildChip(sn, MapSigned, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := sn.NewFrameScratch()
+		for seed := uint64(0); seed < 20; seed++ {
+			x := fractionalInput(sn.InputDim(), rng.NewPCG32(seed, 6))
+			for _, spf := range []int{1, 2, 4} {
+				fastSrc, chipSrc := rng.NewPCG32(seed, 7), rng.NewPCG32(seed, 7)
+				fast := make([]int64, sn.Classes())
+				sn.Frame(fs, x, spf, fastSrc, fast)
+				chip := cn.Frame(x, spf, chipSrc)
+				if !slices.Equal(fast, chip) {
+					t.Fatalf("%s seed %d spf %d: fast %v vs chip %v", name, seed, spf, fast, chip)
+				}
+				if f, c := fastSrc.Uint32(), chipSrc.Uint32(); f != c {
+					t.Fatalf("%s seed %d spf %d: next word fast %#x vs chip %#x", name, seed, spf, f, c)
+				}
+			}
 		}
 	}
 }
@@ -216,10 +276,12 @@ func TestChipStatsAccumulate(t *testing.T) {
 	}
 }
 
-// TestChipFrameRejectsOversizeInput pins ChipNet.Frame and FrameDense to
-// SampledNet.Frame's input check: an input no wider than the network runs,
-// and any wider one, including pixels that fit in the last spike word,
-// panics with a message naming both dimensions.
+// TestChipFrameRejectsOversizeInput pins one width rule on every frame path
+// that encodes Eq. 8 or a coding-ablation code: ChipNet.Frame and
+// FrameDense, SampledNet.Frame, FastPredictor.Frame (stochastic and rate
+// code), FastPredictor.EncodeAndTick and Ensemble.Frame. An input no wider
+// than the network runs, and any wider one, including pixels that fit in
+// the last spike word, panics with a message naming both dimensions.
 func TestChipFrameRejectsOversizeInput(t *testing.T) {
 	const inputs = 14
 	sn := Sample(fractionalBiasNet(6, inputs, 2, 3), rng.NewPCG32(3, 3), DefaultSampleConfig())
@@ -227,8 +289,31 @@ func TestChipFrameRejectsOversizeInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := map[string]func(x []float64, spf int, src rng.Source) []int64{
-		"event": cn.Frame, "dense": cn.FrameDense,
+	counts := make([]int64, sn.Classes())
+	fast := &FastPredictor{Net: sn}
+	rate := &FastPredictor{Net: sn, Coder: RateCode{}}
+	ens := NewSeededEnsemble(sn.plan, 2, 3, 0, DefaultSampleConfig())
+	frames := map[string]func(x []float64, spf int, src rng.Source){
+		"chip-event": func(x []float64, spf int, src rng.Source) { cn.Frame(x, spf, src) },
+		"chip-dense": func(x []float64, spf int, src rng.Source) { cn.FrameDense(x, spf, src) },
+		"sampled": func(x []float64, spf int, src rng.Source) {
+			sn.Frame(sn.NewFrameScratch(), x, spf, src, counts)
+		},
+		"fast": func(x []float64, spf int, src rng.Source) {
+			fast.Frame(fast.NewScratch(), x, spf, src, counts)
+		},
+		"fast-rate": func(x []float64, spf int, src rng.Source) {
+			rate.Frame(rate.NewScratch(), x, spf, src, counts)
+		},
+		"fast-encode-and-tick": func(x []float64, spf int, src rng.Source) {
+			s := fast.NewScratch()
+			for tick := 0; tick < spf; tick++ {
+				fast.EncodeAndTick(s, x, tick, spf, src, counts)
+			}
+		},
+		"ensemble": func(x []float64, spf int, src rng.Source) {
+			ens.Frame(ens.NewScratch(), x, spf, src, counts)
+		},
 	}
 	cases := []struct {
 		dim  int
@@ -241,22 +326,24 @@ func TestChipFrameRejectsOversizeInput(t *testing.T) {
 		{65, "deploy: input dim 65 exceeds network 14"},
 	}
 	for name, frame := range frames {
-		for _, tc := range cases {
-			x := make([]float64, tc.dim)
-			for i := range x {
-				x[i] = 1 // every pixel spikes, so an unchecked one lands
-			}
-			var got string
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						got = fmt.Sprint(r)
-					}
+		for _, spf := range []int{1, 2} {
+			for _, tc := range cases {
+				x := make([]float64, tc.dim)
+				for i := range x {
+					x[i] = 1 // every pixel spikes, so an unchecked one lands
+				}
+				var got string
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							got = fmt.Sprint(r)
+						}
+					}()
+					frame(x, spf, rng.NewPCG32(4, 4))
 				}()
-				frame(x, 2, rng.NewPCG32(4, 4))
-			}()
-			if got != tc.want {
-				t.Errorf("%s, %d inputs: panic %q, want %q", name, tc.dim, got, tc.want)
+				if got != tc.want {
+					t.Errorf("%s, spf %d, %d inputs: panic %q, want %q", name, spf, tc.dim, got, tc.want)
+				}
 			}
 		}
 	}

@@ -84,7 +84,9 @@ func CoderByName(name string) (Coder, error) {
 }
 
 // EncodeInputCoded stages tick t of an spf-tick frame using the given coder.
+// Like EncodeFrameTick, it panics on an input wider than the network.
 func (sn *SampledNet) EncodeInputCoded(fs *FrameScratch, x []float64, tick, spf int, coder Coder, src rng.Source) {
+	checkInputDim(len(x), sn.layers[0].plan.inDim)
 	fs.input.Zero()
 	for i, v := range x {
 		if coder.Spike(v, tick, spf, src) {

@@ -140,16 +140,21 @@ func TestCodedAccuracyMatchesSerialReference(t *testing.T) {
 }
 
 // TestFastAndChipPredictorsAgree drives both execution paths through the
-// shared engine on a fixture where every draw is deterministic (integer
-// leaks, binary inputs): per-item predictions must match exactly, on any
-// worker count.
+// shared engine on integer-leak fixtures, where the only randomness is the
+// input code: binary inputs draw nothing, and fractional ones draw their
+// Eq. 8 spikes from the item's stream on both paths. Per-item predictions
+// must match exactly, on any worker count.
 func TestFastAndChipPredictorsAgree(t *testing.T) {
 	net := integerBiasNet(8, 16, 2, 33)
 	sn := Sample(net, rng.NewPCG32(34, 34), DefaultSampleConfig())
-	const n = 60
-	inputs := make([][]float64, n)
+	const n, fractional = 60, 20
+	inputs := make([][]float64, n+fractional)
 	for i := range inputs {
-		inputs[i] = binaryInput(16, uint64(100+i))
+		if i < n {
+			inputs[i] = binaryInput(16, uint64(100+i))
+		} else {
+			inputs[i] = fractionalInput(16, rng.NewPCG32(uint64(100+i), 6))
+		}
 	}
 	fast := engine.New(&FastPredictor{Net: sn}, engine.Config{Workers: 4})
 	fastPreds, err := fast.Classify(inputs, 3, rng.NewPCG32(9, 9))

@@ -302,8 +302,8 @@ func (qp *QuantPlan) Depth() int { return len(qp.layers) }
 // plan — long-lived callers (e.g. a model server) pool scratches per plan and
 // reuse them across copies sampled with different seeds.
 func (qp *QuantPlan) NewFrameScratch() *FrameScratch {
-	fs := &FrameScratch{input: truenorth.NewBitVec(qp.layers[0].inDim)}
-	fs.enc.base = make(truenorth.BitVec, len(fs.input))
+	in := qp.layers[0].inDim
+	fs := &FrameScratch{input: truenorth.NewBitVec(in), code: newSpikeCode(in)}
 	maxNeurons := 0
 	for _, l := range qp.layers {
 		fs.layerIO = append(fs.layerIO, truenorth.NewBitVec(l.outDim))
@@ -335,13 +335,7 @@ func (qp *QuantPlan) NewFrameScratch() *FrameScratch {
 // draw would bounce its cache line between the goroutines sampling its
 // neighbours.
 func (qp *QuantPlan) Sample(src *rng.PCG32, cfg SampleConfig) *SampledNet {
-	sn := &SampledNet{
-		plan:    qp,
-		cmax:    qp.cmax,
-		classes: qp.classes,
-		classOf: qp.classOf,
-		classN:  qp.classN,
-	}
+	sn := &SampledNet{plan: qp}
 	g := *src
 	for _, pl := range qp.layers {
 		sl := &sampledLayer{plan: pl}

@@ -30,7 +30,7 @@ func (p *FastPredictor) NewScratch() engine.Scratch { return p.Net.NewFrameScrat
 
 // EncodeAndTick implements engine.TickPredictor: one temporal sample — encode
 // tick t of an spf-tick frame, then advance the copy one tick. Tick 0
-// compiles the frame's input-encoding plan into the scratch; later ticks
+// compiles the frame's input spike code into the scratch; later ticks
 // replay it.
 func (p *FastPredictor) EncodeAndTick(s engine.Scratch, x []float64, tick, spf int, src rng.Source, counts []int64) {
 	fs := s.(*FrameScratch)

@@ -132,7 +132,7 @@ func tickFixture(tb testing.TB, seed uint64) (*SampledNet, *FrameScratch) {
 	for i := range x {
 		x[i] = rng.Float64(meta)
 	}
-	sn.EncodeInput(fs, x, meta)
+	sn.EncodeFrameTick(fs, x, 0, 1, meta)
 	return sn, fs
 }
 
