@@ -524,7 +524,7 @@ func BenchmarkEncodeInput(b *testing.B) {
 			b.ReportAllocs()
 			for b.Loop() {
 				for t := 0; t < spf; t++ {
-					sn.EncodeFrameTick(fs, x, t, spf, src)
+					sn.EncodeFrameTick(fs, x, t, src)
 				}
 			}
 		})

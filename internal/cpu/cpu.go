@@ -13,7 +13,8 @@ var X86 struct {
 	HasAVX bool
 	// HasAVX512VPOPCNTDQ: AVX512F, AVX512VL and AVX512_VPOPCNTDQ with
 	// opmask and ZMM state enabled (CPUID.7:EBX bits 16 and 31, CPUID.7:ECX
-	// bit 14, OSXSAVE, XCR0 bits 1-2 and 5-7). The fast path's
-	// popcount-and-fire kernel (internal/deploy) needs it.
+	// bit 14, OSXSAVE, XCR0 bits 1-2 and 5-7). Two kernels need it: the
+	// fast path's popcount-and-fire kernel (internal/deploy) and the chip's
+	// crossbar-and-fire kernel (internal/truenorth).
 	HasAVX512VPOPCNTDQ bool
 }

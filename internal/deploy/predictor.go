@@ -35,7 +35,7 @@ func (p *FastPredictor) NewScratch() engine.Scratch { return p.Net.NewFrameScrat
 func (p *FastPredictor) EncodeAndTick(s engine.Scratch, x []float64, tick, spf int, src rng.Source, counts []int64) {
 	fs := s.(*FrameScratch)
 	if p.Coder == nil {
-		p.Net.EncodeFrameTick(fs, x, tick, spf, src)
+		p.Net.EncodeFrameTick(fs, x, tick, src)
 	} else {
 		p.Net.EncodeInputCoded(fs, x, tick, spf, p.Coder, src)
 	}

@@ -390,10 +390,10 @@ func (c *sampledCore) fire(fs *FrameScratch, local truenorth.BitVec, thrFire, th
 	}
 }
 
-// EncodeFrameTick stages tick (0-based) of an spf-tick frame of x (Eq. 8):
-// tick 0 compiles the frame's spike code into fs, later ticks replay it.
-// Ticks of one frame must be encoded in order on one scratch.
-func (sn *SampledNet) EncodeFrameTick(fs *FrameScratch, x []float64, tick, spf int, src rng.Source) {
+// EncodeFrameTick stages tick (0-based) of a frame of x (Eq. 8): tick 0
+// compiles the frame's spike code into fs, later ticks replay it. Ticks of
+// one frame must be encoded in order on one scratch.
+func (sn *SampledNet) EncodeFrameTick(fs *FrameScratch, x []float64, tick int, src rng.Source) {
 	if tick == 0 {
 		fs.code.compile(x)
 	}
@@ -405,7 +405,7 @@ func (sn *SampledNet) EncodeFrameTick(fs *FrameScratch, x []float64, tick, spf i
 // across ticks. Returns the per-class counts.
 func (sn *SampledNet) Frame(fs *FrameScratch, x []float64, spf int, src rng.Source, classCounts []int64) {
 	for t := 0; t < spf; t++ {
-		sn.EncodeFrameTick(fs, x, t, spf, src)
+		sn.EncodeFrameTick(fs, x, t, src)
 		sn.Tick(fs, src, classCounts)
 	}
 }

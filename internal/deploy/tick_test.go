@@ -3,6 +3,7 @@ package deploy
 import (
 	"fmt"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"repro/internal/cpu"
 	"repro/internal/nn"
@@ -10,11 +11,19 @@ import (
 	"repro/internal/truenorth"
 )
 
-// onTickPaths runs f once on the scalar popcount loop and once on the vector
-// popcount-and-fire kernel; the kernel run skips where the CPU lacks
-// AVX-512 VPOPCNTDQ.
+// chipTickKernel is truenorth's tickKernel, the chip's switch between its
+// scalar crossbar loop and its crossbar-and-fire kernel. It is reached by
+// name so the chip tests here run both paths with no exported knob.
+//
+//go:linkname chipTickKernel repro/internal/truenorth.tickKernel
+var chipTickKernel bool
+
+// onTickPaths runs f once on the scalar loops and once on the vector
+// kernels, of both the fast path (popcount-and-fire) and the chip
+// (crossbar-and-fire); the kernel run skips where the CPU lacks AVX-512
+// VPOPCNTDQ.
 func onTickPaths(t *testing.T, f func(t *testing.T)) {
-	defer func(on bool) { tickKernel = on }(tickKernel)
+	defer func(fast, chip bool) { tickKernel, chipTickKernel = fast, chip }(tickKernel, chipTickKernel)
 	for _, path := range []struct {
 		name   string
 		kernel bool
@@ -23,7 +32,7 @@ func onTickPaths(t *testing.T, f func(t *testing.T)) {
 			if path.kernel && !cpu.X86.HasAVX512VPOPCNTDQ {
 				t.Skip("no AVX-512 VPOPCNTDQ on this CPU")
 			}
-			tickKernel = path.kernel
+			tickKernel, chipTickKernel = path.kernel, path.kernel
 			f(t)
 		})
 	}
@@ -132,7 +141,7 @@ func tickFixture(tb testing.TB, seed uint64) (*SampledNet, *FrameScratch) {
 	for i := range x {
 		x[i] = rng.Float64(meta)
 	}
-	sn.EncodeFrameTick(fs, x, 0, 1, meta)
+	sn.EncodeFrameTick(fs, x, 0, meta)
 	return sn, fs
 }
 

@@ -10,14 +10,16 @@ import (
 	"repro/internal/rng"
 )
 
-// chipShape selects the core population of a randomized parity chip.
+// chipShape selects the core population of a randomized parity chip. In
+// every shape core 1, and one core in 16 of a many-core chip, is instead a
+// crossbar kernel core (kernelCore).
 type chipShape int
 
 const (
 	// shapeSmall draws cores of 1-70 axons x 1-40 neurons.
 	shapeSmall chipShape = iota
 	// shapeWide draws cores of 193-256 axons x 1-256 neurons: every core
-	// takes the kernel's four-word path, and draw ranks reach 255.
+	// takes tickActive's four-word path, and draw ranks reach 255.
 	shapeWide
 	// shapeManyFrac is shapeSmall with core 0 replaced by one of 257-320
 	// fractional-leak neurons, whose draw ranks and per-tick Advance pass
@@ -51,10 +53,12 @@ func buildShapedChip(seed uint64, shape chipShape) *Chip {
 	type dims struct{ axons, neurons int }
 	dd := make([]dims, nCores)
 	for i := range dd {
-		switch shape {
-		case shapeWide:
+		switch {
+		case kernelCore(i):
+			dd[i] = dims{axons: 256, neurons: 8*(1+rng.Intn(src, 31)) + 1 + rng.Intn(src, 7)}
+		case shape == shapeWide:
 			dd[i] = dims{axons: 193 + rng.Intn(src, 64), neurons: 1 + rng.Intn(src, 256)}
-		case shapeMany:
+		case shape == shapeMany:
 			dd[i] = dims{axons: 1 + rng.Intn(src, 70), neurons: 32 + rng.Intn(src, 65)}
 		default:
 			dd[i] = dims{axons: 1 + rng.Intn(src, 70), neurons: 1 + rng.Intn(src, 40)}
@@ -66,6 +70,10 @@ func buildShapedChip(seed uint64, shape chipShape) *Chip {
 	}
 	for i := 0; i < nCores; i++ {
 		c := ch.Core(i)
+		entries := 3 // the kernel cores wire entries 0 and 1 only
+		if kernelCore(i) {
+			entries = 2
+		}
 		for j := 0; j < dd[i].neurons; j++ {
 			if shape == shapeExtreme {
 				c.SetWeights(j, WeightTable{nearLimit(src), nearLimit(src), nearLimit(src), 0})
@@ -79,7 +87,7 @@ func buildShapedChip(seed uint64, shape chipShape) *Chip {
 			}
 			for a := 0; a < dd[i].axons; a++ {
 				if rng.Bernoulli(src, 0.3) {
-					c.Connect(a, j, rng.Intn(src, 3))
+					c.Connect(a, j, rng.Intn(src, entries))
 				}
 			}
 			switch {
@@ -112,6 +120,12 @@ func buildShapedChip(seed uint64, shape chipShape) *Chip {
 	}
 	return ch
 }
+
+// kernelCore reports whether a randomized chip's core i is a crossbar
+// kernel core: 256 axons, 9-255 neurons so that at least one whole block of
+// 8 precedes a partial one, and synapses on weight entries 0 and 1 only.
+// Every chip has core 1, and a many-core chip one core in 16.
+func kernelCore(i int) bool { return i%16 == 1 }
 
 // randomNeuron draws one of buildRandomChip's neuron families.
 func randomNeuron(src *rng.PCG32) NeuronConfig {
@@ -408,7 +422,7 @@ func TestEventTickMatchesDenseRandomized(t *testing.T) {
 	}
 	for _, tr := range trials {
 		for n := 0; n < tr.networks; n++ {
-			t.Run(fmt.Sprintf("%s%02d", tr.name, n), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s%02d", tr.name, n), onTickPaths(func(t *testing.T) {
 				seed := uint64(1000 + n*37)
 				event, dense := buildShapedChip(seed, tr.shape), buildShapedChip(seed, tr.shape)
 				srcE := rng.NewPCG32(seed, 55)
@@ -420,7 +434,7 @@ func TestEventTickMatchesDenseRandomized(t *testing.T) {
 					dense.TickDense()
 					checkChipsEqual(t, tick, event, dense)
 				}
-			})
+			}))
 		}
 	}
 }
@@ -428,6 +442,10 @@ func TestEventTickMatchesDenseRandomized(t *testing.T) {
 // TestEventDenseInterleave pins that Tick and TickDense share one chip's
 // state machine: alternating them on a single chip matches a pure-dense twin.
 func TestEventDenseInterleave(t *testing.T) {
+	onTickPaths(testEventDenseInterleave)(t)
+}
+
+func testEventDenseInterleave(t *testing.T) {
 	seed := uint64(4242)
 	mixed, dense := buildRandomChip(seed), buildRandomChip(seed)
 	srcM := rng.NewPCG32(seed, 56)
@@ -449,6 +467,10 @@ func TestEventDenseInterleave(t *testing.T) {
 // persistent neuron's threshold below its stored potential mid-run must wake
 // the neuron on the event path exactly as on the dense path.
 func TestEventReconfigInvalidatesPlans(t *testing.T) {
+	onTickPaths(testEventReconfigInvalidatesPlans)(t)
+}
+
+func testEventReconfigInvalidatesPlans(t *testing.T) {
 	build := func() *Chip {
 		ch := NewChip(9)
 		ch.SetExternalSinks(1)
@@ -494,6 +516,10 @@ func TestEventReconfigInvalidatesPlans(t *testing.T) {
 // consuming a PRNG word. The compiled plan must realize the same certain +1
 // with no draw — and keep a sibling stochastic neuron's stream aligned.
 func TestEventNearIntegerLeakParity(t *testing.T) {
+	onTickPaths(testEventNearIntegerLeakParity)(t)
+}
+
+func testEventNearIntegerLeakParity(t *testing.T) {
 	build := func() *Chip {
 		ch := NewChip(21)
 		ch.SetExternalSinks(2)
@@ -778,6 +804,10 @@ func sparseChip(nCores int) *Chip {
 // TestSparseChipParity cross-checks the sparse 4096-core benchmark fixture
 // between the two paths at reduced scale.
 func TestSparseChipParity(t *testing.T) {
+	onTickPaths(testSparseChipParity)(t)
+}
+
+func testSparseChipParity(t *testing.T) {
 	event, dense := sparseChip(64), sparseChip(64)
 	for i := 0; i < 8; i++ {
 		event.Inject(0, i)
@@ -909,7 +939,7 @@ func TestEventTickMatchesDenseFaulted(t *testing.T) {
 	models := []string{"dead", "silent", "forcefire", "drop", "dropall", "stuck", "mixed"}
 	for _, model := range models {
 		model := model
-		t.Run(model, func(t *testing.T) {
+		t.Run(model, onTickPaths(func(t *testing.T) {
 			for n := 0; n < 8; n++ {
 				seed := uint64(9000 + n*31)
 				// plain is a NoC-less faulted twin: comparing it against the
@@ -934,7 +964,7 @@ func TestEventTickMatchesDenseFaulted(t *testing.T) {
 					checkChipsEqual(t, tick, event, plain)
 				}
 			}
-		})
+		}))
 	}
 }
 
@@ -981,7 +1011,7 @@ func driveMany(ch *Chip, src *rng.PCG32) {
 func TestEventTickMatchesDenseManyCore(t *testing.T) {
 	atLeastTwoProcs(t)
 	for n, model := range []string{"none", "silent", "forcefire", "drop", "mixed"} {
-		t.Run(model, func(t *testing.T) {
+		t.Run(model, onTickPaths(func(t *testing.T) {
 			seed := uint64(12000 + n*53)
 			event, dense := buildShapedChip(seed, shapeMany), buildShapedChip(seed, shapeMany)
 			for _, ch := range []*Chip{event, dense} {
@@ -1002,7 +1032,7 @@ func TestEventTickMatchesDenseManyCore(t *testing.T) {
 			if n := parallelTicks(event); n < 30 {
 				t.Fatalf("only %d of 40 ticks took the parallel path", n)
 			}
-		})
+		}))
 	}
 }
 
