@@ -7,9 +7,9 @@
 //	tnrepro -exp table2a -quick      # one experiment at smoke scale
 //	tnrepro -exp fig7 -out results/  # also dump CSV/PGM artifacts
 //
-// Experiments: table1, section31, l1sparsity, fig4, fig5, fig7 (includes
-// fig8), table2a, table2b, fig9a, fig9b, table3, chipscale, earlyexit,
-// ablations, faults, all.
+// The -exp ids are the rows of the experiment table, eval.Experiments;
+// `tnrepro -h` lists them, and docs/ARCHITECTURE.md's experiment index maps
+// each to its paper artifact.
 package main
 
 import (
@@ -20,6 +20,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -34,8 +35,9 @@ func main() {
 }
 
 func run() (code int) {
+	table := eval.Experiments()
 	var (
-		expFlag    = flag.String("exp", "all", "experiment id (comma separated) or 'all'")
+		expFlag    = flag.String("exp", "all", "comma-separated experiment ids: all, "+strings.Join(experimentIDs(table), ", "))
 		quick      = flag.Bool("quick", false, "smoke scale: small datasets, few epochs/repeats")
 		seed       = flag.Uint64("seed", 20160605, "master seed")
 		workers    = flag.Int("workers", 0, "goroutine cap (0 = GOMAXPROCS)")
@@ -54,6 +56,10 @@ func run() (code int) {
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	)
 	flag.Parse()
+	exps, err := resolve(*expFlag, table)
+	if err != nil {
+		return fail(err)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -110,175 +116,58 @@ func run() (code int) {
 	}
 	r := eval.NewRunner(opt, log)
 
-	ids := strings.Split(*expFlag, ",")
-	if *expFlag == "all" {
-		ids = []string{"table1", "section31", "l1sparsity", "fig5", "fig4",
-			"fig7", "table2a", "table2b", "fig9a", "fig9b", "table3", "chipscale", "earlyexit", "ablations", "faults"}
-	}
 	start := time.Now()
-	if *trainOnly {
-		for _, id := range ids {
-			if err := eval.Pretrain(r, strings.TrimSpace(id)); err != nil {
-				return fail(fmt.Errorf("pretrain %s: %w", id, err))
+	for _, e := range exps {
+		if *trainOnly {
+			if err := e.Train(r); err != nil {
+				return fail(fmt.Errorf("train %s: %w", e.IDs[0], err))
 			}
+			continue
 		}
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "trainonly: models trained in %v, skipping deployment\n", time.Since(start).Round(time.Second))
+		out, err := e.Run(r)
+		if err != nil {
+			return fail(fmt.Errorf("experiment %s: %w", e.IDs[0], err))
 		}
-		return 0
-	}
-	// fig7 results feed table2a and fig9a; compute lazily and share.
-	var fig7 *eval.Fig7Result
-	getFig7 := func() (*eval.Fig7Result, error) {
-		if fig7 != nil {
-			return fig7, nil
-		}
-		f, err := eval.Fig7(r)
-		if err == nil {
-			fig7 = f
-		}
-		return f, err
-	}
-	for _, id := range ids {
-		if err := runExperiment(r, strings.TrimSpace(id), getFig7, opt); err != nil {
-			return fail(fmt.Errorf("experiment %s: %w", id, err))
-		}
+		fmt.Println(out)
 	}
 	if !*quiet {
-		fmt.Fprintf(os.Stderr, "total elapsed: %v\n", time.Since(start).Round(time.Second))
+		if *trainOnly {
+			fmt.Fprintf(os.Stderr, "trainonly: models trained in %v, skipping deployment\n", time.Since(start).Round(time.Second))
+		} else {
+			fmt.Fprintf(os.Stderr, "total elapsed: %v\n", time.Since(start).Round(time.Second))
+		}
 	}
 	return 0
 }
 
-func runExperiment(r *eval.Runner, id string, getFig7 func() (*eval.Fig7Result, error), opt eval.Options) error {
-	switch id {
-	case "table1":
-		rows, err := eval.Table1(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderTable1(rows))
-	case "section31":
-		s, err := eval.Section31(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderSection31(s))
-	case "l1sparsity":
-		s, err := eval.L1Sparsity(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderL1Sparsity(s))
-	case "fig5":
-		f, err := eval.Fig5(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderFig5(f))
-	case "fig4":
-		f, err := eval.Fig4(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderFig4(f))
-	case "fig7", "fig8":
-		f, err := getFig7()
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderFig7(f))
-		if opt.OutDir != "" {
-			if _, err := eval.WriteSurfaceCSV(opt.OutDir, "fig7_tea.csv", f.Tea); err != nil {
-				return err
-			}
-			if _, err := eval.WriteSurfaceCSV(opt.OutDir, "fig7_biased.csv", f.Biased); err != nil {
-				return err
-			}
-		}
-	case "table2a":
-		f, err := getFig7()
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderTable2a(eval.Table2a(r, f)))
-	case "table2b":
-		t2b, err := eval.Table2b(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderTable2b(t2b))
-	case "fig9a":
-		f, err := getFig7()
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderFig9a(eval.Fig9a(r, f)))
-	case "fig9b":
-		f, err := eval.Fig9b(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderFig9b(f))
-	case "table3":
-		rows, err := eval.Table3(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderTable3(rows))
-	case "chipscale":
-		c, err := eval.ChipScale(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderChipScale(c))
-	case "earlyexit":
-		ee, err := eval.EarlyExit(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderEarlyExit(ee))
-	case "faults":
-		f, err := eval.Faults(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderFaults(f))
-	case "ablations":
-		sig, err := eval.AblationSigma(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderAblation("Ablation: variance-path gradient", sig))
-		leak, err := eval.AblationLeak(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderAblation("Ablation: leak realization", leak))
-		shape, err := eval.AblationPenaltyShape(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderAblation("Ablation: Eq. 17 penalty shape (a, b)", shape))
-		coding, err := eval.AblationCoding(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderAblation("Ablation: neural input codes (1 copy, 2 spf)", coding))
-		cont, err := eval.AblationContinuity(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderAblation("Ablation: integer-threshold continuity correction", cont))
-		m, err := eval.AblationMapping(r)
-		if err != nil {
-			return err
-		}
-		fmt.Println(eval.RenderMapping(m))
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
+// experimentIDs lists every id of the experiment table, in table order.
+func experimentIDs(table []eval.Experiment) []string {
+	var ids []string
+	for _, e := range table {
+		ids = append(ids, e.IDs...)
 	}
-	return nil
+	return ids
+}
+
+// resolve maps a comma-separated -exp value onto experiment table rows, in
+// the order given: "all" expands to the whole table, and a repeated id runs
+// again. It fails on the first unknown id; run resolves before it generates
+// or trains anything, so a typo costs no work.
+func resolve(spec string, table []eval.Experiment) ([]eval.Experiment, error) {
+	var exps []eval.Experiment
+	for _, id := range strings.Split(spec, ",") {
+		id = strings.TrimSpace(id)
+		if id == "all" {
+			exps = append(exps, table...)
+			continue
+		}
+		i := slices.IndexFunc(table, func(e eval.Experiment) bool { return slices.Contains(e.IDs, id) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown experiment %q; valid ids: all, %s", id, strings.Join(experimentIDs(table), ", "))
+		}
+		exps = append(exps, table[i])
+	}
+	return exps, nil
 }
 
 // fail reports err and returns the process exit code, leaving deferred

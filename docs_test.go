@@ -1,12 +1,13 @@
 package repro
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 // docFiles returns every markdown file the docs CI job guards: the repo-root
@@ -205,15 +206,12 @@ func TestDocsNoStaleFileReferences(t *testing.T) {
 	}
 }
 
-// TestDocsExperimentIndexMatchesRepro keeps the experiment-id table in
-// docs/ARCHITECTURE.md in sync with cmd/tnrepro: every id the table names
-// must be runnable.
+// TestDocsExperimentIndexMatchesRepro keeps the experiment index in
+// docs/ARCHITECTURE.md equal to the experiment table cmd/tnrepro runs
+// (eval.Experiments): every documented id must be a table id, and every
+// table id, aliases included, must be documented.
 func TestDocsExperimentIndexMatchesRepro(t *testing.T) {
 	raw, err := os.ReadFile("docs/ARCHITECTURE.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mainGo, err := os.ReadFile("cmd/tnrepro/main.go")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,21 +234,18 @@ func TestDocsExperimentIndexMatchesRepro(t *testing.T) {
 			t.Errorf("experiment index is missing the %q row", id)
 		}
 	}
-	// Docs -> code: every documented id must be runnable.
-	for id := range documented {
-		if !strings.Contains(string(mainGo), fmt.Sprintf("%q", id)) &&
-			!strings.Contains(string(mainGo), fmt.Sprintf("case \"%s\"", id)) {
-			t.Errorf("docs/ARCHITECTURE.md lists experiment %q not handled by cmd/tnrepro", id)
+	inTable := map[string]bool{}
+	for _, e := range eval.Experiments() {
+		for _, id := range e.IDs {
+			inTable[id] = true
+			if !documented[id] {
+				t.Errorf("experiment %q of eval.Experiments is missing from docs/ARCHITECTURE.md's index", id)
+			}
 		}
 	}
-	// Code -> docs: every runExperiment case id must be documented, so new
-	// experiments cannot land without updating the index.
-	caseRe := regexp.MustCompile(`case "([a-z0-9]+)"(?:, "([a-z0-9]+)")?:`)
-	for _, m := range caseRe.FindAllStringSubmatch(string(mainGo), -1) {
-		for _, id := range m[1:] {
-			if id != "" && !documented[id] {
-				t.Errorf("cmd/tnrepro handles experiment %q missing from docs/ARCHITECTURE.md's index", id)
-			}
+	for id := range documented {
+		if !inTable[id] {
+			t.Errorf("docs/ARCHITECTURE.md lists experiment %q, which eval.Experiments does not have", id)
 		}
 	}
 }

@@ -82,7 +82,7 @@ type L1SparsityResult struct {
 }
 
 // l1SparsityModels trains the two section 3.3 MLPs (no penalty and L1).
-// Split out so Pretrain can run the training phase alone.
+// Split out so the l1sparsity row's Train step can run the training alone.
 func l1SparsityModels(r *Runner) (base, l1 *nn.MLP, err error) {
 	b, _ := BenchByID(1)
 	train, _ := r.Data(b)

@@ -23,6 +23,9 @@ type Runner struct {
 	mu     sync.Mutex
 	data   map[string][2]*dataset.Dataset
 	models map[string]*core.Model
+	// fig7 holds the Figure 7 surfaces that the fig7, table2a and fig9a rows
+	// of the experiment table share; Fig7 itself neither reads nor fills it.
+	fig7 *Fig7Result
 }
 
 // NewRunner returns a Runner with empty caches.
@@ -88,6 +91,24 @@ func (r *Runner) Model(b Bench, penalty string) (*core.Model, error) {
 	r.models[key] = m
 	r.mu.Unlock()
 	return m, nil
+}
+
+// sharedFig7 returns the Figure 7 surfaces, measuring them on first use.
+func (r *Runner) sharedFig7() (*Fig7Result, error) {
+	r.mu.Lock()
+	f := r.fig7
+	r.mu.Unlock()
+	if f != nil {
+		return f, nil
+	}
+	f, err := Fig7(r)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.fig7 = f
+	r.mu.Unlock()
+	return f, nil
 }
 
 // EvalConfig assembles the deployment evaluation configuration every
